@@ -20,7 +20,8 @@ from scipy.stats import chi2, norm
 
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
-from .powerlaw import _EM_COEF, PowerLawFit, _hz, _mle_alpha, _tail_draws
+from .powerlaw import (_EM_COEF, PowerLawFit, _first_int, _hz, _mle_alpha,
+                       _table_draws, _tail_draws)
 
 __all__ = [
     "FAMILIES",
@@ -418,54 +419,6 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
 # Random variates
 # ---------------------------------------------------------------------------
 
-_TABLE_START = 1 << 10
-_TABLE_CAP = 1 << 23
-
-
-def _table_draws(weight_fn, q: int, u: np.ndarray, exact_invert=None) -> np.ndarray:
-    """Inverse CDF by cumulative table over integers >= q, doubled until it
-    covers the largest draw; draws past the table go to exact_invert."""
-    size = _TABLE_START
-    u_max = float(u.max())
-    while True:
-        xs = np.arange(q, q + size, dtype=np.float64)
-        cdf = np.cumsum(weight_fn(xs))
-        if cdf[-1] >= u_max or size >= _TABLE_CAP:
-            break
-        size *= 2
-    idx = np.searchsorted(cdf, u, side="left")
-    out = (q + idx).astype(np.int64)
-    beyond = idx >= size
-    if beyond.any():
-        if exact_invert is None:
-            raise ValueError("tail mass beyond table capacity; rate too small")
-        out[beyond] = [exact_invert(float(v)) for v in u[beyond]]
-    return out
-
-
-def _lognormal_invert(mu: float, sigma: float, q: int):
-    lz = float(norm.logsf((np.log(q - 0.5) - mu) / sigma))
-
-    def ccdf_next(x: int) -> float:
-        # P(X > x) = sf((log(x+1/2) - mu)/sigma) / Z
-        return float(np.exp(norm.logsf((np.log(x + 0.5) - mu) / sigma) - lz))
-
-    def invert(u: float) -> int:
-        lo, hi = q, max(2 * q, q + 1)
-        while ccdf_next(hi) > 1.0 - u:
-            lo = hi + 1
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ccdf_next(mid) <= 1.0 - u:
-                hi = mid
-            else:
-                lo = mid + 1
-        return int(lo)
-
-    return invert
-
-
 def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
     """Draw n deterministic variates from the discretized family."""
     if n < 1:
@@ -482,8 +435,15 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
         mu, sigma = fit.params
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        x = _table_draws(lambda xs: np.exp(_lognormal_logpmf(xs, mu, sigma, q)),
-                         q, u, _lognormal_invert(mu, sigma, q))
+        lz = float(norm.logsf((np.log(q - 0.5) - mu) / sigma))
+
+        def invert(v: float) -> int:
+            # P(X > x) = sf((log(x + 1/2) - mu) / sigma) / Z
+            return _first_int(q, lambda x: np.exp(
+                norm.logsf((np.log(x + 0.5) - mu) / sigma) - lz) <= 1.0 - v)
+
+        x = _table_draws(lambda xs: np.cumsum(
+            np.exp(_lognormal_logpmf(xs, mu, sigma, q))), q, u, invert)
     else:
         alpha, rate = fit.params
         if rate < 0:
@@ -494,7 +454,7 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
             x = _tail_draws(alpha, q, u)
         else:
             lz = _cutoff_log_z(alpha, rate, q)
-            x = _table_draws(
-                lambda xs: np.exp(-alpha * np.log(xs) - rate * xs - lz), q, u)
+            x = _table_draws(lambda xs: np.cumsum(
+                np.exp(-alpha * np.log(xs) - rate * xs - lz)), q, u)
     pretty = ",".join(f"{p:g}" for p in fit.params)
     return CitationSample(x, label=f"{fit.family}({pretty}, x_min={q}, seed={seed})")

@@ -19,8 +19,8 @@ from ._version import __version__
 from .altmodels import FAMILIES, AltFit, compare_models, sample_alternative
 from .dataset import read_aggregates, read_counts, write_aggregates, write_counts
 from .gof import DEFAULT_SIMS, gof_test, required_sims
-from .ingest import (build_aggregates, mode_samples, normalize_journal,
-                     parse_export, read_classification)
+from .ingest import (build_aggregates, filter_years, mode_samples,
+                     normalize_journal, parse_export, read_classification)
 from .powerlaw import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL,
                        DiscretePowerLaw, ccdf_table, fit_power_law,
                        sample_power_law)
@@ -314,11 +314,11 @@ def _cmd_ingest(args) -> None:
     }
     with open(args.input, "r", encoding="utf-8-sig", newline=None) as fh:
         parsed = parse_export(fh, columns)
-    kept = [(rec, row) for rec, row in zip(parsed.records, parsed.source_rows)
-            if (args.year_min is None or rec.year >= args.year_min)
-            and (args.year_max is None or rec.year <= args.year_max)]
-    records = [rec for rec, _ in kept]
-    rows = [row for _, row in kept]
+    records = filter_years(parsed.records, args.year_min, args.year_max)
+    # record ids are unique once parse_export has rejected duplicates
+    row_of = dict(zip((rec.record_id for rec in parsed.records),
+                      parsed.source_rows))
+    rows = [row_of[rec.record_id] for rec in records]
     with open(args.map, "r", encoding="utf-8-sig", newline=None) as fh:
         classification = read_classification(fh)
     aggregates, unmapped = build_aggregates(records, classification, rows)

@@ -11,14 +11,13 @@ at least as large as the empirical one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import DOMAIN_GOF, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _chunk_spans, _scan,
+from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _replicates, _scan,
                        _tail_draws, ks_distance)
 
 __all__ = ["GofResult", "required_sims", "gof_test", "RULE_OUT_THRESHOLD",
@@ -47,7 +46,7 @@ def required_sims(epsilon: float) -> int:
 
 
 def _gof_chunk(args) -> list[float]:
-    body, x_min, alpha, n, seed, start, stop, min_tail = args
+    start, stop, body, x_min, alpha, n, seed, min_tail = args
     p_tail = 1.0 - body.size / n
     ks_values = []
     for r in range(start, stop):
@@ -87,17 +86,9 @@ def gof_test(sample: CitationSample, fit: PowerLawFit,
     counts = sample.counts
     n = counts.size
     body = counts[counts < fit.x_min]
-    spans = _chunk_spans(n_sims, workers * 4 if workers > 1 else 1)
-    jobs = [(body, fit.x_min, fit.alpha, n, seed, a, b, min_tail)
-            for a, b in spans]
-    ks_values: list[float] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_gof_chunk, jobs):
-                ks_values.extend(chunk)
-    else:
-        for job in jobs:
-            ks_values.extend(_gof_chunk(job))
+    ks_values = _replicates(_gof_chunk,
+                            (body, fit.x_min, fit.alpha, n, seed, min_tail),
+                            n_sims, workers)
 
     n_exceeding = int(np.sum(np.asarray(ks_values) >= fit.ks))
     p_value = n_exceeding / n_sims

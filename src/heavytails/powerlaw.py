@@ -10,6 +10,7 @@ from a nonparametric bootstrap.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -128,27 +129,29 @@ class DiscretePowerLaw:
         return float(_hz_many(self.alpha, np.array([float(self.x_min)]))[0])
 
     def pmf(self, x) -> np.ndarray:
+        """P(X = x); 0 below x_min."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.where(x >= self.x_min, x ** -self.alpha / self.normalizer, 0.0)
-        return out
+        # clipping keeps 0 ** -alpha and negative bases out of the power
+        inside = np.maximum(x, self.x_min) ** -self.alpha / self.normalizer
+        return np.where(x >= self.x_min, inside, 0.0)
 
     def logpmf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            out = np.where(x >= self.x_min,
-                           -self.alpha * np.log(x) - np.log(self.normalizer),
-                           -np.inf)
-        return out
+        inside = (-self.alpha * np.log(np.maximum(x, self.x_min))
+                  - np.log(self.normalizer))
+        return np.where(x >= self.x_min, inside, -np.inf)
 
     def ccdf(self, x) -> np.ndarray:
-        """P(X >= x) for integer x >= x_min."""
+        """P(X >= x) for integer x; 1 at and below x_min."""
         x = np.asarray(x, dtype=np.float64)
-        return _hz_many(self.alpha, x) / self.normalizer
+        tail = _hz_many(self.alpha, np.maximum(x, self.x_min))
+        return tail / self.normalizer
 
     def cdf(self, x) -> np.ndarray:
-        """P(X <= x) for integer x >= x_min."""
+        """P(X <= x) for integer x; 0 below x_min."""
         x = np.asarray(x, dtype=np.float64)
-        return 1.0 - _hz_many(self.alpha, x + 1.0) / self.normalizer
+        tail = _hz_many(self.alpha, np.maximum(x + 1.0, self.x_min))
+        return 1.0 - tail / self.normalizer
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,16 +265,19 @@ def _scan(positive_sorted: np.ndarray, min_tail: int) -> _ScanResult:
 
 
 def _fit_fixed(positive_sorted: np.ndarray, x_min: int) -> _ScanResult:
+    x_min = int(x_min)
+    if x_min < 1:
+        raise ValueError("x_min must be a positive integer")
     tail = positive_sorted[positive_sorted >= x_min]
     if tail.size == 0:
         raise ValueError("empty tail")
     index = _TailIndex(tail)
     if index.values.size < 2:
         raise ValueError("degenerate tail")
-    alpha, ll = _mle_alpha(float(index.suffix_logsum[0]), tail.size, int(x_min))
+    alpha, ll = _mle_alpha(float(index.suffix_logsum[0]), tail.size, x_min)
     # the tail is conditioned on x >= x_min even when x_min is not observed
-    ks = _tail_ks(index.values, index.suffix_n, alpha, int(x_min))
-    return _ScanResult(int(x_min), alpha, ks, ll, int(tail.size))
+    ks = _tail_ks(index.values, index.suffix_n, alpha, x_min)
+    return _ScanResult(x_min, alpha, ks, ll, int(tail.size))
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +290,8 @@ def fit_alpha(sample: CitationSample, x_min: int) -> tuple[float, float]:
     Returns ``(alpha, log_likelihood)``.  The maximizer is located to well
     within 1e-6.
     """
-    x_min = int(x_min)
-    if x_min < 1:
-        raise ValueError("x_min must be a positive integer")
-    tail = sample.tail(x_min)
-    if tail.size == 0:
-        raise ValueError("empty tail")
-    if np.unique(tail).size < 2:
-        raise ValueError("degenerate tail")
-    log_sum = float(np.sum(np.log(tail.astype(np.float64))))
-    return _mle_alpha(log_sum, int(tail.size), x_min)
+    res = _fit_fixed(_positive_part(sample.counts), x_min)
+    return res.alpha, res.log_likelihood
 
 
 def ks_distance(sample: CitationSample, model: DiscretePowerLaw) -> float:
@@ -305,8 +303,29 @@ def ks_distance(sample: CitationSample, model: DiscretePowerLaw) -> float:
     return _tail_ks(index.values, index.suffix_n, model.alpha, model.x_min)
 
 
+def _replicates(chunk_fn, args: tuple, total: int, workers: int) -> list:
+    """Results of replicates 0..total-1, in replicate order.
+
+    ``chunk_fn((start, stop) + args)`` returns the results of one span of
+    replicates.  Each replicate seeds itself from (seed, domain, r), so
+    neither the spans nor the worker count can change a result.
+    """
+    parts = workers * 4 if workers > 1 else 1
+    edges = np.linspace(0, total, min(parts, total) + 1).astype(int)
+    jobs = [(int(a), int(b)) + args
+            for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    # the fork start method launches every requested process up front
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    if procs > 1:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            chunks = list(pool.map(chunk_fn, jobs))
+    else:
+        chunks = [chunk_fn(job) for job in jobs]
+    return [result for chunk in chunks for result in chunk]
+
+
 def _bootstrap_chunk(args) -> list[tuple[float, float]]:
-    counts, seed, start, stop, min_tail, fixed_x_min = args
+    start, stop, counts, seed, min_tail, fixed_x_min = args
     out = []
     n = counts.size
     for r in range(start, stop):
@@ -349,15 +368,8 @@ def fit_power_law(sample: CitationSample, *,
     alpha_sd = 0.0
     x_min_sd = 0.0
     if bootstrap_reps > 0:
-        pairs: list[tuple[float, float]] = []
-        if workers > 1:
-            spans = _chunk_spans(bootstrap_reps, workers * 4)
-            jobs = [(counts, seed, a, b, min_tail, x_min) for a, b in spans]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for chunk in pool.map(_bootstrap_chunk, jobs):
-                    pairs.extend(chunk)
-        else:
-            pairs = _bootstrap_chunk((counts, seed, 0, bootstrap_reps, min_tail, x_min))
+        pairs = _replicates(_bootstrap_chunk, (counts, seed, min_tail, x_min),
+                            bootstrap_reps, workers)
         alphas = np.array([p[0] for p in pairs])
         xmins = np.array([p[1] for p in pairs])
         valid = ~np.isnan(alphas)
@@ -368,30 +380,28 @@ def fit_power_law(sample: CitationSample, *,
                        alpha_sd, x_min_sd, main.log_likelihood)
 
 
-def _chunk_spans(total: int, parts: int) -> list[tuple[int, int]]:
-    edges = np.linspace(0, total, min(parts, total) + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-
 # ---------------------------------------------------------------------------
 # Random variates: exact inverse-CDF with a cumulative table, extended on
-# demand, plus an exact integer bisection for draws beyond the table.
+# demand, plus an exact integer search for draws beyond the table.
 # ---------------------------------------------------------------------------
 
 _TABLE_START = 1 << 10
 _TABLE_CAP = 1 << 23
 
 
-def _tail_draws(alpha: float, q: int, u: np.ndarray) -> np.ndarray:
-    """Smallest x >= q with CDF(x) >= u_i, for each uniform draw u_i."""
+def _table_draws(cdf_fn, q: int, u: np.ndarray, invert=None) -> np.ndarray:
+    """Smallest x >= q with CDF(x) >= u_i, for each uniform draw u_i.
+
+    ``cdf_fn(xs)`` is the CDF at the consecutive integers ``xs`` starting
+    at q.  The table doubles until it covers the largest draw or reaches
+    _TABLE_CAP entries; ``invert(u_i)`` places each draw beyond it.
+    """
     if u.size == 0:
         return np.zeros(0, dtype=np.int64)
-    z_q = _hz(alpha, float(q))
     u_max = float(u.max())
     size = _TABLE_START
     while True:
-        xs = np.arange(q, q + size, dtype=np.float64)
-        cdf = np.cumsum(xs ** -alpha) / z_q
+        cdf = cdf_fn(np.arange(q, q + size, dtype=np.float64))
         if cdf[-1] >= u_max or size >= _TABLE_CAP:
             break
         size *= 2
@@ -399,29 +409,46 @@ def _tail_draws(alpha: float, q: int, u: np.ndarray) -> np.ndarray:
     out = q + idx.astype(np.int64)
     beyond = idx >= size
     if beyond.any():
-        out[beyond] = [_invert_tail(alpha, q, z_q, float(v)) for v in u[beyond]]
+        if invert is None:
+            raise ValueError("tail mass beyond table capacity; rate too small")
+        out[beyond] = [invert(float(v)) for v in u[beyond]]
     return out
 
 
-def _invert_tail(alpha: float, q: int, z_q: float, u: float) -> int:
-    # smallest x with zeta(alpha, x + 1) <= (1 - u) * zeta(alpha, q)
-    target = (1.0 - u) * z_q
+def _first_int(q: int, done) -> int:
+    """Smallest integer x >= q with ``done(x)``, for a predicate monotone in x.
+
+    Doubling brackets the answer and bisection pins it; a bracket past the
+    int64 range raises instead of overflowing the caller's array.
+    """
     lo = q
     hi = max(2 * q, q + 1)
-    while _hz(alpha, float(hi + 1)) > target:
+    while not done(hi):
         lo = hi + 1
         hi *= 2
         if hi > 1 << 62:
             raise ValueError(
                 "sampled value exceeds the integer range; "
-                "alpha is too close to 1 for exact inversion")
+                "the tail is too heavy for exact inversion")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _hz(alpha, float(mid + 1)) <= target:
+        if done(mid):
             hi = mid
         else:
             lo = mid + 1
     return int(lo)
+
+
+def _tail_draws(alpha: float, q: int, u: np.ndarray) -> np.ndarray:
+    """Power-law variates on x >= q by inversion of the uniforms u."""
+    z_q = _hz(alpha, float(q))
+
+    def invert(v: float) -> int:
+        # P(X > x) = zeta(alpha, x + 1) / zeta(alpha, q)
+        target = (1.0 - v) * z_q
+        return _first_int(q, lambda x: _hz(alpha, float(x + 1)) <= target)
+
+    return _table_draws(lambda xs: np.cumsum(xs ** -alpha) / z_q, q, u, invert)
 
 
 def sample_power_law(model: DiscretePowerLaw, n: int, seed: int) -> CitationSample:

@@ -67,6 +67,15 @@ class TestSimulate:
         assert (tmp_path / "one" / "x.txt").read_bytes() == \
             (tmp_path / "two" / "x.txt").read_bytes()
 
+    def test_draw_past_integer_range_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "x.txt"
+        code = run("simulate", "--family", "lognormal", "--mu", 0,
+                   "--sigma", 50, "--n", 200, "--seed", 1, "--output", path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: sampled value exceeds the integer range")
+        assert not path.exists()
+
     def test_missing_param_rejected(self, tmp_path, capsys):
         code = run("simulate", "--family", "lognormal", "--n", 10,
                    "--mu", 1.0, "--output", tmp_path / "x.txt")
@@ -128,6 +137,15 @@ class TestFit:
         doc = json.loads((out / "fit.json").read_text())
         assert doc["x_min"] == 4
         assert "--xmin 4" in doc["command"]
+
+    def test_nonpositive_xmin_writes_nothing(self, counts_file, tmp_path,
+                                             capsys):
+        out = tmp_path / "out"
+        assert run("fit", "--input", counts_file, "--outdir", out,
+                   "--bootstrap", 0, "--xmin", 0) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: x_min must be a positive integer")
+        assert not (out / "fit.json").exists()
 
     def test_missing_input_fails(self, tmp_path, capsys):
         code = run("fit", "--input", tmp_path / "absent.txt",

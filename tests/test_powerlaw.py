@@ -1,6 +1,9 @@
 """Hurwitz zeta, the discrete power law, MLE, the x_min scan, and sampling."""
 
+import hashlib
 import math
+import os
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import heavytails.powerlaw as powerlaw_module
 from heavytails import (
+    AltFit,
     CitationSample,
     DiscretePowerLaw,
     ccdf_table,
@@ -16,8 +21,10 @@ from heavytails import (
     fit_power_law,
     hurwitz_zeta,
     ks_distance,
+    sample_alternative,
     sample_power_law,
 )
+from heavytails.powerlaw import _replicates
 
 mpmath.mp.dps = 30
 
@@ -76,6 +83,35 @@ class TestDiscretePowerLaw:
         mass = float(np.sum(m.pmf(xs))) + float(m.ccdf(x_min + 2000))
         assert_allclose(mass, 1.0, atol=1e-11)
 
+    def test_values_below_support(self):
+        m = DiscretePowerLaw(5, 2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.ccdf(1) == 1.0
+            assert m.cdf(2) == 0.0
+            assert m.cdf(4) == 0.0
+            assert m.pmf(0) == 0.0
+            assert m.pmf(-3) == 0.0
+            assert m.logpmf(0) == -np.inf
+
+    @given(st.floats(min_value=1.05, max_value=12.0),
+           st.integers(min_value=1, max_value=1000),
+           st.lists(st.integers(min_value=-2**62, max_value=2**62),
+                    min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_in_range_and_monotone_at_any_integer(self, alpha, x_min, xs):
+        m = DiscretePowerLaw(x_min, alpha)
+        # neighbors of each point and of the support's edge
+        xs = np.array(sorted(set(xs) | {x + 1 for x in xs}
+                             | {x_min - 1, x_min, x_min + 1}), dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ccdf, cdf, pmf = m.ccdf(xs), m.cdf(xs), m.pmf(xs)
+        for values in (ccdf, cdf, pmf):
+            assert np.all((values >= 0.0) & (values <= 1.0))
+        assert np.all(np.diff(ccdf) <= 0.0)
+        assert np.all(np.diff(cdf) >= 0.0)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             DiscretePowerLaw(0, 2.5)
@@ -107,6 +143,12 @@ class TestFitAlpha:
         approx = 1.0 + tail.size / float(np.sum(np.log(tail / 9.5)))
         alpha, _ = fit_alpha(pl_tail_sample, 10)
         assert abs(alpha - approx) < 0.02
+
+    def test_agrees_with_pinned_fit(self, pl_tail_sample):
+        for q in (10, 13):
+            fit = fit_power_law(pl_tail_sample, x_min=q, bootstrap_reps=0)
+            assert fit_alpha(pl_tail_sample, q) == (fit.alpha,
+                                                    fit.log_likelihood)
 
     def test_empty_tail_rejected(self, tiny_sample):
         with pytest.raises(ValueError, match="empty tail"):
@@ -164,6 +206,11 @@ class TestScan:
         with pytest.raises(ValueError, match="insufficient tail"):
             fit_power_law(s, bootstrap_reps=0)
 
+    @pytest.mark.parametrize("x_min", [0, -3])
+    def test_nonpositive_pinned_xmin_rejected(self, pl_sample, x_min):
+        with pytest.raises(ValueError, match="x_min must be a positive"):
+            fit_power_law(pl_sample, x_min=x_min, bootstrap_reps=4)
+
 
 class TestBootstrap:
     def test_sds_positive_and_plausible(self, pl_sample):
@@ -182,6 +229,63 @@ class TestBootstrap:
         b = fit_power_law(pl_sample, x_min=1, bootstrap_reps=40, seed=2)
         assert a.alpha == b.alpha
         assert a.alpha_sd != b.alpha_sd
+
+
+def _replicate_ids(args):
+    start, stop, tag = args
+    return [(tag, r) for r in range(start, stop)]
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Swap the process pool for an in-process one; record its sizes."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(powerlaw_module, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+class TestReplicates:
+    @pytest.mark.parametrize("workers,total,cores,pool", [
+        (5000, 4, 64, 4),   # never more processes than replicates
+        (8, 40, 3, 3),      # nor than cores
+        (2, 1, 8, None),    # one replicate runs in process
+        (1, 10, 8, None),
+        (3, 10, 1, None),
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, pool_sizes,
+                                  workers, total, cores, pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        out = _replicates(_replicate_ids, ("t",), total, workers)
+        assert out == [("t", r) for r in range(total)]
+        assert pool_sizes == ([] if pool is None else [pool])
+
+    def test_many_workers_few_replicates(self, monkeypatch, pool_sizes,
+                                         pl_sample):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        serial = fit_power_law(pl_sample, x_min=1, bootstrap_reps=4, seed=2)
+        wide = fit_power_law(pl_sample, x_min=1, bootstrap_reps=4, seed=2,
+                             workers=5000)
+        assert wide == serial
+        assert pool_sizes == [4]
+
+
+def _stream_digest(sample: CitationSample) -> str:
+    counts = np.ascontiguousarray(sample.counts, dtype="<i8")
+    return hashlib.sha256(counts.tobytes()).hexdigest()
 
 
 class TestSampling:
@@ -212,6 +316,29 @@ class TestSampling:
         s = sample_power_law(m, 2000, seed=3)
         assert s.counts.min() >= 1
         assert s.counts.max() > 1 << 23
+
+    def test_alpha_near_one_exceeds_integer_range(self):
+        with pytest.raises(ValueError, match="exceeds the integer range"):
+            sample_power_law(DiscretePowerLaw(1, 1.05), 300, seed=4)
+
+    # Seeded draws must not change under refactoring.  A deliberate change
+    # of a sampler's algorithm updates these digests and says so.
+    @pytest.mark.parametrize("draw,digest", [
+        (lambda: sample_power_law(DiscretePowerLaw(1, 1.5), 3000, seed=5),
+         "9dcdf4e4a72ed8b6b147793e3e3785a463c348986a5dde154994a459a97de2f1"),
+        # about 9% of these draws fall past the table to the inverter
+        (lambda: sample_alternative(AltFit("lognormal", (0.0, 9.0), 3, 0.0),
+                                    3000, seed=5),
+         "32d26f8f5e895d0e1d2af92014d18261491e25748cd21ae44696aaacec4937bf"),
+        (lambda: sample_alternative(AltFit("exponential", (0.05,), 1, 0.0),
+                                    3000, seed=5),
+         "a1e55f92dfdd8961f0a9cd0208d732c6372be24bfa37021df26807f28ec564d4"),
+        (lambda: sample_alternative(
+            AltFit("powerlaw_cutoff", (1.7, 1e-3), 1, 0.0), 3000, seed=5),
+         "27ed7df270337776730325b97ffa6835a3bb1edf216142677f44576fbbb5f037"),
+    ], ids=["powerlaw", "lognormal", "exponential", "powerlaw_cutoff"])
+    def test_seeded_streams_pinned(self, draw, digest):
+        assert _stream_digest(draw()) == digest
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
