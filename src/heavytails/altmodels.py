@@ -20,8 +20,8 @@ from scipy.stats import chi2, norm
 
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (_EM_COEF, PowerLawFit, _first_int, _hz, _mle_alpha,
-                       _table_draws, _tail_draws)
+from .powerlaw import (_EM_COEF, PowerLawFit, _first_int, _mle, _table_draws,
+                       _tail_draws, _zeta)
 
 __all__ = [
     "FAMILIES",
@@ -173,10 +173,10 @@ def _cutoff_log_z(alpha: float, rate: float, q: int) -> float:
     if rate == 0.0:
         if alpha <= 1.0:
             return np.inf  # divergent; caller treats as invalid
-        return float(np.log(_hz(alpha, float(q))))
+        return float(np.log(_zeta(alpha, q)[0]))
     if rate < 0.25:
-        # direct summation needs ~1/rate terms here; Euler-Maclaurin with
-        # the same 64 leading terms as the zeta evaluator is O(1)
+        # direct summation needs ~1/rate terms here; Euler-Maclaurin after
+        # 64 leading terms is O(1)
         big_x = q + 64
         xs = np.arange(q, big_x, dtype=np.float64)
         head = logsumexp(-alpha * np.log(xs) - rate * xs)
@@ -308,7 +308,8 @@ def _fit_cutoff(values, counts, q, anchor=None):
     log_sum = float(np.sum(counts * np.log(values)))
     lin_sum = float(np.sum(counts * values))
     if anchor is None:
-        alpha_pl, ll_pl = _mle_alpha(log_sum, int(n), q)
+        alpha, ll, _ = _mle([log_sum], [n], [q])
+        alpha_pl, ll_pl = float(alpha[0]), float(ll[0])
     else:
         alpha_pl, ll_pl = anchor
 
@@ -388,8 +389,7 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
     p on 2|lr| with one degree of freedom.
     """
     _, values, counts = _tail_summary(sample, pl.x_min)
-    pl_logpmf = (-pl.alpha * np.log(values)
-                 - np.log(_hz(pl.alpha, float(pl.x_min))))
+    pl_logpmf = pl.model().logpmf(values)
     results = []
     for family in alternatives:
         if family == "powerlaw_cutoff":

@@ -304,6 +304,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
+    if (args.year_min is not None and args.year_max is not None
+            and args.year_min > args.year_max):
+        raise ValueError(f"--year-min {args.year_min} is after "
+                         f"--year-max {args.year_max}")
     columns = {
         "authors": args.col_authors,
         "journal": args.col_journal,
@@ -315,6 +319,9 @@ def _cmd_ingest(args) -> None:
     with open(args.input, "r", encoding="utf-8-sig", newline=None) as fh:
         parsed = parse_export(fh, columns)
     records = filter_years(parsed.records, args.year_min, args.year_max)
+    if args.year_min is not None or args.year_max is not None:
+        print(f"ingest: {len(parsed.records) - len(records)} records outside "
+              "the year window", file=sys.stderr)
     # record ids are unique once parse_export has rejected duplicates
     row_of = dict(zip((rec.record_id for rec in parsed.records),
                       parsed.source_rows))

@@ -183,11 +183,23 @@ def partition_shares(collab: SummaryStats, single: SummaryStats) -> PartitionSha
     return PartitionShares(collab.n_citations / total, single.n_citations / total, ratio)
 
 
+def _parse_int(text: str) -> int:
+    """The integer written as ASCII digits with an optional leading '-'.
+
+    Unlike int(), rejects '+5', '1_000', surrounding space and non-ASCII
+    digits.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a base-10 integer: {text!r}")
+    return int(text)
+
+
 def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
     """Read the one-count-per-line plain-text format.
 
     Blank lines and lines starting with ``#`` are ignored; both LF and CRLF
-    endings are accepted.
+    endings are accepted.  A count is written in ASCII digits only.
     """
     path = Path(path)
     values: list[int] = []
@@ -197,7 +209,7 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
             if not line or line.startswith("#"):
                 continue
             try:
-                value = int(line)
+                value = _parse_int(line)
             except ValueError:
                 raise ValueError(f"{path.name}:{lineno}: not a base-10 integer: {line!r}") from None
             if value < 0:
@@ -234,7 +246,7 @@ def read_aggregates(path: str | Path) -> list[SubfieldAggregate]:
         if len(parts) != len(AGGREGATE_COLUMNS):
             raise ValueError(f"{path.name}:{lineno}: expected {len(AGGREGATE_COLUMNS)} columns")
         try:
-            numbers = [int(p) for p in parts[2:]]
+            numbers = [_parse_int(p) for p in parts[2:]]
         except ValueError:
             raise ValueError(f"{path.name}:{lineno}: non-integer aggregate value") from None
         out.append(SubfieldAggregate(parts[0], parts[1], *numbers))

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import CitationSample, SubfieldAggregate
+from .dataset import CitationSample, SubfieldAggregate, _parse_int
 
 __all__ = [
     "DOC_TYPES",
@@ -112,7 +112,7 @@ def parse_export(lines: Iterable[str],
             rejections.append((lineno, f"excluded document type: {doc_type}"))
             continue
         try:
-            citations = int(fields[index["citations"]].strip())
+            citations = _parse_int(fields[index["citations"]].strip())
         except ValueError:
             rejections.append((lineno, "unparseable citation count"))
             continue
@@ -120,7 +120,7 @@ def parse_export(lines: Iterable[str],
             rejections.append((lineno, "negative citation count"))
             continue
         try:
-            year = int(fields[index["year"]].strip())
+            year = _parse_int(fields[index["year"]].strip())
         except ValueError:
             rejections.append((lineno, "unparseable year"))
             continue

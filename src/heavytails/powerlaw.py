@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._rng import DOMAIN_BOOTSTRAP, DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
@@ -36,12 +35,11 @@ __all__ = [
 DEFAULT_MIN_TAIL = 50
 DEFAULT_BOOTSTRAP_REPS = 1000
 
-# Euler-Maclaurin evaluation of the Hurwitz zeta: direct sum of _EM_TERMS
-# terms, then integral + trapezoid + Bernoulli corrections B2..B12.  The
-# first omitted term is below 1e-25 for alpha in (1, 30] and q >= 1, far
-# inside the 1e-12 absolute target.
+# Euler-Maclaurin evaluation of the Hurwitz zeta: a direct sum of the first
+# _EM_TERMS terms when q < _EM_TERMS, then integral + trapezoid + Bernoulli
+# corrections B2..B12 from a = max(q, _EM_TERMS) on.  The first omitted
+# correction is below 1e-14 of the result for s in (1, 30] since a >= 64.
 _EM_TERMS = 64
-_EM_K = np.arange(_EM_TERMS, dtype=np.float64)
 _EM_COEF = (
     1.0 / 6.0 / 2.0,
     -1.0 / 30.0 / 24.0,
@@ -50,46 +48,63 @@ _EM_COEF = (
     5.0 / 66.0 / 3628800.0,
     -691.0 / 2730.0 / 479001600.0,
 )
-
-_ZETA_CHUNK = 1 << 16
-
-
-def _hz(s: float, q: float) -> float:
-    total = float(np.sum((_EM_K + q) ** -s))
-    a = q + _EM_TERMS
-    total += a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s
-    rising = s
-    apow = a ** (-s - 1.0)
-    for j, coef in enumerate(_EM_COEF):
-        total += coef * rising * apow
-        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
-        apow /= a * a
-    return total
+_ZETA_CHUNK = 1 << 12
 
 
-def _hz_many(s: float, q: np.ndarray) -> np.ndarray:
-    """Hurwitz zeta over an array of shift values, chunked to bound memory.
+def _zeta(s, q, derivs: bool = False) -> np.ndarray:
+    """Hurwitz zeta over broadcast ``s`` and ``q``: shape ``(1,) + shape``,
+    or ``(3,) + shape`` with the first two s-derivatives (``derivs``).
 
-    The direct terms are reduced along the contiguous axis so the rounding
-    of each element is independent of how many neighbors share the call.
+    Elements go in chunks of _ZETA_CHUNK, each through the same operations
+    whatever its neighbors, so no value depends on the call it is in.
     """
-    q = np.asarray(q, dtype=np.float64)
-    shape = q.shape
-    q = np.ravel(q)
-    out = np.empty(q.shape, dtype=np.float64)
-    for start in range(0, q.size, _ZETA_CHUNK):
-        block = q[start:start + _ZETA_CHUNK]
-        total = np.sum((block[:, None] + _EM_K[None, :]) ** -s, axis=1)
-        a = block + _EM_TERMS
-        total += a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s
-        rising = s
-        apow = a ** (-s - 1.0)
-        for j, coef in enumerate(_EM_COEF):
-            total += coef * rising * apow
-            rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
-            apow /= a * a
-        out[start:start + _ZETA_CHUNK] = total
-    return out.reshape(shape)
+    s, q = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
+                               np.asarray(q, dtype=np.float64))
+    shape = s.shape
+    s, q = s.ravel(), q.ravel()
+    out = np.zeros((3 if derivs else 1, s.size))
+    for lo in range(0, s.size, _ZETA_CHUNK):
+        _zeta_chunk(s[lo:lo + _ZETA_CHUNK], q[lo:lo + _ZETA_CHUNK],
+                    out[:, lo:lo + _ZETA_CHUNK])
+    return out.reshape(out.shape[:1] + shape)
+
+
+def _zeta_chunk(s: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    derivs = out.shape[0] > 1
+    near = q < _EM_TERMS
+    if near.any():
+        base = q[near, None] + np.arange(_EM_TERMS)
+        term = base ** -s[near, None]
+        out[0, near] = np.sum(term, axis=1)
+        if derivs:
+            # each s-derivative multiplies x**-s by -log(x)
+            neg_log = -np.log(base)
+            out[1, near] = np.sum(term * neg_log, axis=1)
+            out[2, near] = np.sum(term * neg_log * neg_log, axis=1)
+    a = np.where(near, q + _EM_TERMS, q)
+    # The rest is a**-s F(s), F = a/(s-1) + 1/2 + (s/a) h with
+    # h = sum_j c_j (r_j(s)/s) w**j, w = 1/a**2, r_j(s) = s (s+1) ... (s+2j).
+    # Horner gives h (and h', h''); r_j / r_(j-1) = p = (s+2j-1)(s+2j).
+    w = 1.0 / (a * a)
+    h, h1, h2 = _EM_COEF[-1], 0.0, 0.0
+    for j in range(len(_EM_COEF) - 1, 0, -1):
+        p = (s + (2 * j - 1)) * (s + 2 * j)
+        if derivs:
+            dp = 2.0 * s + (4 * j - 1)
+            h2 = w * (2.0 * h + 2.0 * dp * h1 + p * h2)
+            h1 = w * (dp * h + p * h1)
+        h = _EM_COEF[j - 1] + w * p * h
+    inv = 1.0 / (s - 1.0)
+    f = a * inv + 0.5 + s * h / a
+    e = a ** -s
+    out[0] += e * f
+    if derivs:
+        # Leibniz rule, with (a**-s)' = -log(a) a**-s
+        f1 = (h + s * h1) / a - a * inv * inv
+        f2 = (2.0 * h1 + s * h2) / a + 2.0 * a * inv ** 3
+        lg = -np.log(a)
+        out[1] += e * (f1 + lg * f)
+        out[2] += e * (f2 + lg * (2.0 * f1 + lg * f))
 
 
 def hurwitz_zeta(alpha: float, q: int) -> float:
@@ -104,7 +119,7 @@ def hurwitz_zeta(alpha: float, q: int) -> float:
     q = int(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
-    return _hz(alpha, float(q))
+    return float(_zeta(alpha, q)[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,9 +139,9 @@ class DiscretePowerLaw:
 
     @property
     def normalizer(self) -> float:
-        # evaluated through the same vectorized path as ccdf/cdf numerators
-        # so that ccdf(x_min) is exactly 1.0, not one ulp off
-        return float(_hz_many(self.alpha, np.array([float(self.x_min)]))[0])
+        # the same kernel element as the ccdf/cdf numerator at x_min, so
+        # that ccdf(x_min) is exactly 1.0
+        return float(_zeta(self.alpha, self.x_min)[0])
 
     def pmf(self, x) -> np.ndarray:
         """P(X = x); 0 below x_min."""
@@ -144,14 +159,12 @@ class DiscretePowerLaw:
     def ccdf(self, x) -> np.ndarray:
         """P(X >= x) for integer x; 1 at and below x_min."""
         x = np.asarray(x, dtype=np.float64)
-        tail = _hz_many(self.alpha, np.maximum(x, self.x_min))
+        tail = _zeta(self.alpha, np.maximum(x, self.x_min))[0]
         return tail / self.normalizer
 
     def cdf(self, x) -> np.ndarray:
         """P(X <= x) for integer x; 0 below x_min."""
-        x = np.asarray(x, dtype=np.float64)
-        tail = _hz_many(self.alpha, np.maximum(x + 1.0, self.x_min))
-        return 1.0 - tail / self.normalizer
+        return 1.0 - self.ccdf(np.asarray(x, dtype=np.float64) + 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,90 +207,102 @@ def _positive_part(counts: np.ndarray) -> np.ndarray:
     return counts[counts >= 1]
 
 
-def _mle_alpha(log_sum: float, n_tail: int, q: int) -> tuple[float, float]:
-    """Maximize the tail log-likelihood -a*S - n*log(zeta(a, q)) over a."""
-    qf = float(q)
-    # closed-form approximation as the initializer; exact only for large q
-    denom = log_sum - n_tail * np.log(qf - 0.5)
-    alpha0 = 1.0 + n_tail / denom if denom > 0 else 2.0
-
-    def negll(a: float) -> float:
-        return a * log_sum + n_tail * np.log(_hz(a, qf))
-
-    lo = 1.0 + 1e-9
-    hi = max(10.0, alpha0 + 5.0) if np.isfinite(alpha0) else 10.0
-    while True:
-        res = minimize_scalar(negll, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-9})
-        if res.x < hi - 1e-4 or hi >= 512.0:
-            break
-        hi *= 2.0
-    return float(res.x), float(-res.fun)
+_ALPHA_LO, _ALPHA_HI = 1.0 + 1e-9, 512.0
+_NEWTON_CAP = 100
+_KS_PAIRS = 1 << 16
 
 
-def _tail_ks(values: np.ndarray, suffix_n: np.ndarray, alpha: float, q: int) -> float:
-    """KS distance between the empirical tail CDF and the model CDF.
+def _mle(log_sum, n, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, log-likelihood, zeta(alpha, q)) of the tail MLE at each q.
 
-    ``values``/``suffix_n`` are the unique tail values (>= q) and their tail
-    counts; both CDFs are compared at the observed values.
+    alpha is the root in (1 + 1e-9, 512] of the score log_sum/n + zeta'/zeta,
+    which rises through it (its slope is the model variance of log x), by
+    Newton steps that bisect the bracket of evaluated points when they
+    leave it.  Each element stops on its own test at an evaluated point.
     """
-    n_tail = suffix_n[0]
-    ecdf = (n_tail - np.append(suffix_n[1:], 0)) / n_tail
-    z_q = _hz(alpha, float(q))
-    mcdf = 1.0 - _hz_many(alpha, values.astype(np.float64) + 1.0) / z_q
-    return float(np.max(np.abs(ecdf - mcdf)))
+    log_sum, n, q = (np.asarray(v, dtype=np.float64) for v in (log_sum, n, q))
+    with np.errstate(divide="ignore"):
+        # the continuous MLE with a half-unit shift starts near the root
+        start = 1.0 + n / (log_sum - n * np.log(q - 0.5))
+    alpha = np.where(start > _ALPHA_LO, np.minimum(start, _ALPHA_HI), 2.0)
+    lo, hi = np.full(q.shape, _ALPHA_LO), np.full(q.shape, _ALPHA_HI)
+    z = np.empty(q.shape)
+    todo = np.arange(q.size)
+    for it in range(_NEWTON_CAP):
+        a = alpha[todo]
+        z[todo], z1, z2 = _zeta(a, q[todo], derivs=True)
+        ratio = z1 / z[todo]
+        g = log_sum[todo] / n[todo] + ratio
+        # a nan score, from an underflowed zeta, counts as past the root
+        lo[todo] = np.where(g < 0.0, a, lo[todo])
+        hi[todo] = np.where(g < 0.0, hi[todo], a)
+        step = -g / (z2 / z[todo] - ratio * ratio)
+        inside = (a + step > lo[todo]) & (a + step < hi[todo])
+        alpha[todo] = np.where(inside, a + step, 0.5 * (lo[todo] + hi[todo]))
+        done = ((np.abs(g) <= 1e-13) | (np.abs(step) <= 4e-16 * a)
+                | (hi[todo] - lo[todo] <= 4e-16 * a) | (it == _NEWTON_CAP - 1))
+        alpha[todo[done]] = a[done]
+        todo = todo[~done]
+        if todo.size == 0:
+            break
+    return alpha, -(alpha * log_sum + n * np.log(z)), z
 
 
-@dataclass(frozen=True, slots=True)
-class _ScanResult:
-    x_min: int
-    alpha: float
-    ks: float
-    log_likelihood: float
-    n_tail: int
+def _ks(index: _TailIndex, starts: np.ndarray, alpha: np.ndarray,
+        z_q: np.ndarray) -> np.ndarray:
+    """KS distance of each tail ``values[starts[c]:]`` from its model with
+    exponent alpha[c] and normalizer z_q[c], at the observed values.  The
+    kernel takes (candidate, value) pairs in groups of max(_KS_PAIRS, m)."""
+    m = index.values.size
+    above = np.append(index.suffix_n[1:], 0)
+    ks = np.empty(starts.size)
+    per = max(1, _KS_PAIRS // m)
+    for lo in range(0, starts.size, per):
+        group = np.arange(lo, min(lo + per, starts.size))
+        sizes = m - starts[group]
+        ends = np.cumsum(sizes)
+        c = np.repeat(group, sizes)
+        j = np.arange(ends[-1]) + np.repeat(m - ends, sizes)
+        n = index.suffix_n[starts[c]]
+        model = 1.0 - _zeta(alpha[c], index.values[j] + 1.0)[0] / z_q[c]
+        dist = np.abs((n - above[j]) / n - model)
+        ks[group] = np.maximum.reduceat(dist, ends - sizes)
+    return ks
 
 
-def _fit_at(index: _TailIndex, i: int) -> _ScanResult:
-    q = int(index.values[i])
-    n_tail = int(index.suffix_n[i])
-    alpha, ll = _mle_alpha(float(index.suffix_logsum[i]), n_tail, q)
-    ks = _tail_ks(index.values[i:], index.suffix_n[i:], alpha, q)
-    return _ScanResult(q, alpha, ks, ll, n_tail)
+def _best_fit(index: _TailIndex, starts: np.ndarray,
+              q: np.ndarray) -> PowerLawFit:
+    """The candidate fit with the smallest KS (the first of ties), SDs 0."""
+    n = index.suffix_n[starts]
+    alpha, ll, z = _mle(index.suffix_logsum[starts], n, q)
+    ks = _ks(index, starts, alpha, z)
+    b = int(np.argmin(ks))
+    return PowerLawFit(int(q[b]), float(alpha[b]), int(n[b]), float(ks[b]),
+                       0.0, 0.0, float(ll[b]))
 
 
-def _scan(positive_sorted: np.ndarray, min_tail: int) -> _ScanResult:
+def _scan(positive_sorted: np.ndarray, min_tail: int) -> PowerLawFit:
     """Pick x_min among observed values by KS minimization; ties go small."""
-    if positive_sorted.size == 0:
-        raise ValueError("insufficient tail")
     index = _TailIndex(positive_sorted)
     m = index.values.size
-    floor = max(int(min_tail), 2)
-    candidates = np.nonzero((index.suffix_n >= floor)
-                            & (np.arange(m) <= m - 2))[0]
-    if candidates.size == 0:
+    starts = np.nonzero((index.suffix_n >= max(int(min_tail), 2))
+                        & (np.arange(m) <= m - 2))[0]
+    if starts.size == 0:
         raise ValueError("insufficient tail")
-    best: _ScanResult | None = None
-    for i in candidates:
-        result = _fit_at(index, int(i))
-        if best is None or result.ks < best.ks:
-            best = result
-    return best
+    return _best_fit(index, starts, index.values[starts])
 
 
-def _fit_fixed(positive_sorted: np.ndarray, x_min: int) -> _ScanResult:
+def _fit_fixed(positive_sorted: np.ndarray, x_min: int) -> PowerLawFit:
     x_min = int(x_min)
     if x_min < 1:
         raise ValueError("x_min must be a positive integer")
-    tail = positive_sorted[positive_sorted >= x_min]
-    if tail.size == 0:
+    index = _TailIndex(positive_sorted[positive_sorted >= x_min])
+    if index.values.size == 0:
         raise ValueError("empty tail")
-    index = _TailIndex(tail)
     if index.values.size < 2:
         raise ValueError("degenerate tail")
-    alpha, ll = _mle_alpha(float(index.suffix_logsum[0]), tail.size, x_min)
     # the tail is conditioned on x >= x_min even when x_min is not observed
-    ks = _tail_ks(index.values, index.suffix_n, alpha, x_min)
-    return _ScanResult(x_min, alpha, ks, ll, int(tail.size))
+    return _best_fit(index, np.zeros(1, dtype=np.intp), np.array([x_min]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +312,8 @@ def _fit_fixed(positive_sorted: np.ndarray, x_min: int) -> _ScanResult:
 def fit_alpha(sample: CitationSample, x_min: int) -> tuple[float, float]:
     """Exact discrete MLE of the exponent on the tail x >= x_min.
 
-    Returns ``(alpha, log_likelihood)``.  The maximizer is located to well
-    within 1e-6.
+    Returns ``(alpha, log_likelihood)``.  alpha is the root of the
+    likelihood score, found by safeguarded Newton to within rounding.
     """
     res = _fit_fixed(_positive_part(sample.counts), x_min)
     return res.alpha, res.log_likelihood
@@ -299,8 +324,9 @@ def ks_distance(sample: CitationSample, model: DiscretePowerLaw) -> float:
     tail = sample.tail(model.x_min)
     if tail.size == 0:
         raise ValueError("empty tail")
-    index = _TailIndex(tail)
-    return _tail_ks(index.values, index.suffix_n, model.alpha, model.x_min)
+    ks = _ks(_TailIndex(tail), np.zeros(1, dtype=np.intp),
+             np.array([model.alpha]), _zeta(model.alpha, model.x_min))
+    return float(ks[0])
 
 
 def _replicates(chunk_fn, args: tuple, total: int, workers: int) -> list:
@@ -365,8 +391,6 @@ def fit_power_law(sample: CitationSample, *,
     else:
         main = _fit_fixed(positive, int(x_min))
 
-    alpha_sd = 0.0
-    x_min_sd = 0.0
     if bootstrap_reps > 0:
         pairs = _replicates(_bootstrap_chunk, (counts, seed, min_tail, x_min),
                             bootstrap_reps, workers)
@@ -374,10 +398,9 @@ def fit_power_law(sample: CitationSample, *,
         xmins = np.array([p[1] for p in pairs])
         valid = ~np.isnan(alphas)
         if valid.sum() >= 2:
-            alpha_sd = float(np.std(alphas[valid], ddof=1))
-            x_min_sd = float(np.std(xmins[valid], ddof=1))
-    return PowerLawFit(main.x_min, main.alpha, main.n_tail, main.ks,
-                       alpha_sd, x_min_sd, main.log_likelihood)
+            main = replace(main, alpha_sd=float(np.std(alphas[valid], ddof=1)),
+                           x_min_sd=float(np.std(xmins[valid], ddof=1)))
+    return main
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +464,12 @@ def _first_int(q: int, done) -> int:
 
 def _tail_draws(alpha: float, q: int, u: np.ndarray) -> np.ndarray:
     """Power-law variates on x >= q by inversion of the uniforms u."""
-    z_q = _hz(alpha, float(q))
+    z_q = float(_zeta(alpha, q)[0])
 
     def invert(v: float) -> int:
         # P(X > x) = zeta(alpha, x + 1) / zeta(alpha, q)
         target = (1.0 - v) * z_q
-        return _first_int(q, lambda x: _hz(alpha, float(x + 1)) <= target)
+        return _first_int(q, lambda x: _zeta(alpha, x + 1)[0] <= target)
 
     return _table_draws(lambda xs: np.cumsum(xs ** -alpha) / z_q, q, u, invert)
 

@@ -25,6 +25,12 @@ def pl_tail_sample():
     return sample_power_law(DiscretePowerLaw(10, 2.5), 8_000, seed=3)
 
 
+@pytest.fixture(scope="session")
+def heavy_sample():
+    """5,000 draws from DiscretePowerLaw(x_min=1, alpha=1.5)."""
+    return sample_power_law(DiscretePowerLaw(1, 1.5), 5_000, seed=1)
+
+
 @pytest.fixture()
 def tiny_sample():
     counts = np.array([1, 1, 1, 2, 2, 3, 4, 4, 5, 8, 13, 21], dtype=np.int64)

@@ -272,7 +272,7 @@ class TestIngestCommand:
         assert lines[0].startswith("subfield\tfield\t")
         assert (out / "rejections.tsv").read_text() == "row\treason\n"
 
-    def test_year_window(self, export_file, map_file, tmp_path):
+    def test_year_window(self, export_file, map_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("ingest", "--input", export_file, "--map", map_file,
                    "--outdir", out, "--year-min", 2000,
@@ -280,6 +280,24 @@ class TestIngestCommand:
         doc = json.loads((out / "ingest.json").read_text())
         assert doc["n_records"] == 1
         assert "--year-min 2000 --year-max 2004" in doc["command"]
+        assert capsys.readouterr().err == (
+            "ingest: 3 records outside the year window\n")
+
+    def test_reversed_year_window_writes_nothing(self, export_file, map_file,
+                                                 tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("ingest", "--input", export_file, "--map", map_file,
+                   "--outdir", out, "--year-min", 2010,
+                   "--year-max", 2000) == 1
+        assert capsys.readouterr().err == (
+            "error: --year-min 2010 is after --year-max 2000\n")
+        assert not out.exists()
+
+    def test_no_year_note_without_window(self, export_file, map_file,
+                                         tmp_path, capsys):
+        assert run("ingest", "--input", export_file, "--map", map_file,
+                   "--outdir", tmp_path / "out") == 0
+        assert "year window" not in capsys.readouterr().err
 
     def test_unmapped_journal_lands_in_rejections(self, export_file,
                                                   tmp_path):

@@ -123,6 +123,15 @@ class TestCountsIO:
         path.write_text("3\nfour\n")
         with pytest.raises(ValueError):
             read_counts(path)
+        # int() would take all but the last of these
+        for text, message in [("1_000", "not a base-10 integer"),
+                              ("+5", "not a base-10 integer"),
+                              ("\u0663", "not a base-10 integer"),
+                              ("\uff15", "not a base-10 integer"),
+                              ("-3", "negative count -3")]:
+            path.write_text(f"3\n{text}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^c.txt:2: {message}"):
+                read_counts(path)
 
 
 class TestAggregatesIO:
@@ -142,6 +151,18 @@ class TestAggregatesIO:
         path = tmp_path / "agg.tsv"
         path.write_text("wrong\theader\n")
         with pytest.raises(ValueError):
+            read_aggregates(path)
+
+    @pytest.mark.parametrize("value", ["ten", "1_0", "+10", " 10",
+                                       "\u0661\u0660", "\uff11\uff10"])
+    def test_non_integer_value_rejected(self, tmp_path, value):
+        path = tmp_path / "agg.tsv"
+        write_aggregates(path, [self._aggregate()])
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("\t10\t", f"\t{value}\t", 1),
+                        encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match="^agg.tsv:2: non-integer aggregate value"):
             read_aggregates(path)
 
     def test_partition_must_sum(self):

@@ -36,6 +36,17 @@ class TestParseExport:
          "negative citation count"),
         (export_row("WOS:104", "A, B", year="199x"),
          "unparseable year"),
+        (export_row("WOS:106", "A, B", citations="1_000"),
+         "unparseable citation count"),
+        (export_row("WOS:107", "A, B", citations="+5"),
+         "unparseable citation count"),
+        (export_row("WOS:108", "A, B", citations="\u0663"),
+         "unparseable citation count"),
+        (export_row("WOS:109", "A, B", citations="\uff15"),
+         "unparseable citation count"),
+        (export_row("WOS:110", "A, B", year="+2005"), "unparseable year"),
+        (export_row("WOS:111", "A, B", year="\uff12\uff10\uff10\uff15"),
+         "unparseable year"),
         (export_row("WOS:105", " ; "), "no authors"),
         (export_row("", "A, B"), "missing record id"),
         ("too\tfew", "expected at least 6 fields, got 2"),

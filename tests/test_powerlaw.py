@@ -24,7 +24,7 @@ from heavytails import (
     sample_alternative,
     sample_power_law,
 )
-from heavytails.powerlaw import _replicates
+from heavytails.powerlaw import _ks, _mle, _replicates, _TailIndex, _zeta
 
 mpmath.mp.dps = 30
 
@@ -49,6 +49,25 @@ class TestHurwitzZeta:
     def test_against_mpmath(self, s, q):
         ref = float(mpmath.zeta(s, q))
         assert_allclose(hurwitz_zeta(s, q), ref, rtol=5e-14)
+
+    @pytest.mark.parametrize("s,q", [(1.5, 1), (2.35, 1), (3.5, 10),
+                                     (1.05, 3), (8.0, 2), (25.0, 1),
+                                     (2.0, 1000)])
+    def test_derivatives_against_mpmath(self, s, q):
+        got = _zeta(s, q, derivs=True)
+        for d in (1, 2):
+            ref = float(mpmath.zeta(s, q, d))
+            assert_allclose(got[d], ref, rtol=1e-12)
+
+    def test_kernel_is_elementwise(self):
+        # each element's bits are the same alone as in a multi-chunk call
+        rng = np.random.default_rng(3)
+        s = rng.uniform(1.01, 30.0, 9000)
+        q = rng.integers(1, 500, 9000).astype(np.float64)
+        batch = _zeta(s, q, derivs=True)
+        for i in rng.choice(9000, 60, replace=False):
+            assert_array_equal(_zeta(s[i], q[i], derivs=True), batch[:, i])
+        assert_array_equal(_zeta(s, q)[0], batch[0])
 
     def test_nonnormalizable_rejected(self):
         with pytest.raises(ValueError, match="non-normalizable"):
@@ -181,6 +200,15 @@ class TestKsDistance:
         assert ks_distance(s, m) < 0.01
 
 
+def _scan_candidates(sample):
+    """Tail index, candidate positions and x_min values of the scan."""
+    counts = np.sort(sample.counts)
+    index = _TailIndex(counts[counts >= 1])
+    m = index.values.size
+    starts = np.nonzero((index.suffix_n >= 50) & (np.arange(m) <= m - 2))[0]
+    return index, starts, index.values[starts]
+
+
 class TestScan:
     def test_recovers_planted_xmin(self):
         rng = np.random.default_rng(11)
@@ -196,6 +224,30 @@ class TestScan:
         for cand in (1, 2, 3, 5):
             other = fit_power_law(pl_sample, x_min=cand, bootstrap_reps=0)
             assert fit.ks <= other.ks + 1e-12
+
+    def test_candidates_solved_together_equal_solved_alone(self,
+                                                          pl_tail_sample):
+        index, starts, q = _scan_candidates(pl_tail_sample)
+        alpha, ll, z = _mle(index.suffix_logsum[starts],
+                            index.suffix_n[starts], q)
+        ks = _ks(index, starts, alpha, z)
+        assert starts.size > 150
+        for c, x_min in enumerate(q):
+            alone = fit_power_law(pl_tail_sample, x_min=int(x_min),
+                                  bootstrap_reps=0)
+            assert (alone.alpha, alone.ks, alone.log_likelihood) == (
+                alpha[c], ks[c], ll[c]), f"x_min={x_min}"
+
+    @pytest.mark.parametrize("fixture", ["pl_sample", "pl_tail_sample",
+                                         "heavy_sample"])
+    def test_alpha_is_a_root_of_the_score(self, fixture, request):
+        index, starts, q = _scan_candidates(request.getfixturevalue(fixture))
+        log_sum, n = index.suffix_logsum[starts], index.suffix_n[starts]
+        alpha, _, _ = _mle(log_sum, n, q)
+        # no candidate is clamped at the bracket's upper end, 512
+        assert np.all(alpha < 512.0)
+        z, dz, _ = _zeta(alpha, q, derivs=True)
+        assert np.max(np.abs(log_sum / n + dz / z)) <= 1e-12
 
     def test_min_tail_respected(self, pl_sample):
         fit = fit_power_law(pl_sample, min_tail=500, bootstrap_reps=0)
