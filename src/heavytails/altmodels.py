@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri_exp
 from scipy.stats import chi2, norm
 
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (_EM_COEF, PowerLawFit, _first_int, _mle, _table_draws,
-                       _tail_draws, _zeta)
+from .powerlaw import (_EM_COEF, _INT_LIMIT, PowerLawFit, _as_counts, _mle,
+                       _rejection, _tail_draws, _zeta, _zipf_proposals)
 
 __all__ = [
     "FAMILIES",
@@ -419,31 +419,66 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
 # Random variates
 # ---------------------------------------------------------------------------
 
+def _geometric(rate: float, u: np.ndarray) -> np.ndarray:
+    """Inversion of the geometric law P(K = k) ~ exp(-rate k) on k >= 0."""
+    return np.floor(np.log1p(-u) / -rate)
+
+
+def _cutoff_draws(alpha: float, rate: float, q: int, n: int, rng) -> np.ndarray:
+    """Variates of x**-alpha exp(-rate x) on x >= q, by rejection from a
+    Zipf(beta) envelope (b = beta, v = 0) or a geometric one (b = 0, v = nu).
+
+    Over an envelope x**-b exp(-v x) the target is x**c exp(-d x), c = b -
+    alpha and d = rate - v >= 0, whose maximum M is at max(q, c / d) if c > 0
+    and at q otherwise.  The acceptance is Z_target / (M Z_envelope), so the
+    envelope with the smaller M Z_envelope is used.
+    """
+    beta = max(alpha, 1.0 + 1.0 / np.log(np.e + 1.0 / rate))
+    nu = rate / (1.0 + max(0.0, -alpha))
+    envelopes = []
+    for b, v, log_z in ((beta, 0.0, np.log(_zeta(beta, q)[0])),
+                        (0.0, nu, -nu * q - np.log(-np.expm1(-nu)))):
+        c, d = b - alpha, rate - v
+        peak = max(q, c / d) if c > 0.0 else q
+        log_m = c * np.log(peak) - d * peak
+        envelopes.append((log_m + log_z, v, c, d, log_m))
+    _, v, c, d, log_m = min(envelopes, key=lambda e: e[0])
+
+    def propose(m):
+        if v == 0.0:
+            x, ok = _zipf_proposals(beta, q, m, rng)
+        else:
+            x, ok = q + _geometric(v, rng.random(m)), np.ones(m, dtype=bool)
+        # the target mass past 2**62 underflows: such proposals are rejected
+        x = np.minimum(x, _INT_LIMIT)
+        keep = np.log1p(-rng.random(m)) <= c * np.log(x) - d * x - log_m
+        return x, ok & keep & (x < _INT_LIMIT)
+
+    return _as_counts(_rejection(n, propose))
+
+
 def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
     """Draw n deterministic variates from the discretized family."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = derived_rng(seed, DOMAIN_SAMPLING, 0)
-    u = rng.random(int(n))
     q = fit.x_min
     if fit.family == "exponential":
         rate = fit.params[0]
         if rate <= 0:
             raise ValueError("rate must be positive")
-        x = q + np.floor(np.log1p(-u) / -rate).astype(np.int64)
+        x = q + _as_counts(_geometric(rate, rng.random(int(n))))
     elif fit.family == "lognormal":
         mu, sigma = fit.params
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        lz = float(norm.logsf((np.log(q - 0.5) - mu) / sigma))
-
-        def invert(v: float) -> int:
-            # P(X > x) = sf((log(x + 1/2) - mu) / sigma) / Z
-            return _first_int(q, lambda x: np.exp(
-                norm.logsf((np.log(x + 0.5) - mu) / sigma) - lz) <= 1.0 - v)
-
-        x = _table_draws(lambda xs: np.cumsum(
-            np.exp(_lognormal_logpmf(xs, mu, sigma, q))), q, u, invert)
+        # the pmf is the mass on [x - 1/2, x + 1/2] of a lognormal Y truncated
+        # to Y >= q - 1/2, so X is Y rounded, Y drawn from its log survival
+        log_sf = np.log1p(-rng.random(int(n))) + norm.logsf(
+            (np.log(q - 0.5) - mu) / sigma)
+        with np.errstate(over="ignore"):
+            y = np.exp(mu - sigma * ndtri_exp(log_sf))
+        x = _as_counts(np.maximum(q, np.ceil(y - 0.5)))
     else:
         alpha, rate = fit.params
         if rate < 0:
@@ -451,10 +486,8 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
         if rate == 0.0:
             if alpha <= 1.0:
                 raise ValueError("non-normalizable")
-            x = _tail_draws(alpha, q, u)
+            x = _tail_draws(alpha, q, int(n), rng)
         else:
-            lz = _cutoff_log_z(alpha, rate, q)
-            x = _table_draws(lambda xs: np.cumsum(
-                np.exp(-alpha * np.log(xs) - rate * xs - lz)), q, u)
+            x = _cutoff_draws(alpha, rate, q, int(n), rng)
     pretty = ",".join(f"{p:g}" for p in fit.params)
     return CitationSample(x, label=f"{fit.family}({pretty}, x_min={q}, seed={seed})")

@@ -52,12 +52,9 @@ def _gof_chunk(args) -> list[float]:
     for r in range(start, stop):
         rng = derived_rng(seed, DOMAIN_GOF, r)
         n_tail = int(rng.binomial(n, p_tail))
-        parts = []
-        if n_tail:
-            parts.append(_tail_draws(alpha, x_min, rng.random(n_tail)))
-        if n - n_tail:
-            parts.append(body[rng.integers(0, body.size, size=n - n_tail)])
-        synth = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        synth = np.concatenate([
+            _tail_draws(alpha, x_min, n_tail, rng),
+            body[rng.integers(0, body.size, size=n - n_tail)]])
         positive = np.sort(synth[synth >= 1])
         try:
             ks_values.append(_scan(positive, min_tail).ks)

@@ -215,8 +215,9 @@ _KS_PAIRS = 1 << 16
 def _mle(log_sum, n, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alpha, log-likelihood, zeta(alpha, q)) of the tail MLE at each q.
 
-    alpha is the root in (1 + 1e-9, 512] of the score log_sum/n + zeta'/zeta,
-    which rises through it (its slope is the model variance of log x), by
+    alpha is the root in (1 + 1e-9, min(512, 1022 ln 2 / ln q)] of the score
+    log_sum/n + zeta'/zeta, or that cap when the root lies past it; the score
+    rises through the root (its slope is the model variance of log x), by
     Newton steps that bisect the bracket of evaluated points when they
     leave it.  Each element stops on its own test at an evaluated point.
     """
@@ -224,8 +225,10 @@ def _mle(log_sum, n, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         # the continuous MLE with a half-unit shift starts near the root
         start = 1.0 + n / (log_sum - n * np.log(q - 0.5))
-    alpha = np.where(start > _ALPHA_LO, np.minimum(start, _ALPHA_HI), 2.0)
-    lo, hi = np.full(q.shape, _ALPHA_LO), np.full(q.shape, _ALPHA_HI)
+        # past this alpha, q**-alpha and so zeta leave the normal floats
+        hi = np.minimum(_ALPHA_HI, 1022.0 * np.log(2.0) / np.log(q))
+    alpha = np.where(start > _ALPHA_LO, np.minimum(start, hi), 2.0)
+    lo = np.full(q.shape, _ALPHA_LO)
     z = np.empty(q.shape)
     todo = np.arange(q.size)
     for it in range(_NEWTON_CAP):
@@ -233,7 +236,6 @@ def _mle(log_sum, n, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         z[todo], z1, z2 = _zeta(a, q[todo], derivs=True)
         ratio = z1 / z[todo]
         g = log_sum[todo] / n[todo] + ratio
-        # a nan score, from an underflowed zeta, counts as past the root
         lo[todo] = np.where(g < 0.0, a, lo[todo])
         hi[todo] = np.where(g < 0.0, hi[todo], a)
         step = -g / (z2 / z[todo] - ratio * ratio)
@@ -404,74 +406,61 @@ def fit_power_law(sample: CitationSample, *,
 
 
 # ---------------------------------------------------------------------------
-# Random variates: exact inverse-CDF with a cumulative table, extended on
-# demand, plus an exact integer search for draws beyond the table.
+# Random variates: exact rejection methods, O(1) expected work per draw.
 # ---------------------------------------------------------------------------
 
-_TABLE_START = 1 << 10
-_TABLE_CAP = 1 << 23
+_INT_LIMIT = 2.0 ** 62
 
 
-def _table_draws(cdf_fn, q: int, u: np.ndarray, invert=None) -> np.ndarray:
-    """Smallest x >= q with CDF(x) >= u_i, for each uniform draw u_i.
+def _as_counts(x: np.ndarray) -> np.ndarray:
+    """Integer variates from float ones; any at or past 2**62 raises."""
+    if not np.all(x < _INT_LIMIT):
+        raise ValueError(
+            "sampled value exceeds the integer range; "
+            "the tail is too heavy for exact inversion")
+    return x.astype(np.int64)
 
-    ``cdf_fn(xs)`` is the CDF at the consecutive integers ``xs`` starting
-    at q.  The table doubles until it covers the largest draw or reaches
-    _TABLE_CAP entries; ``invert(u_i)`` places each draw beyond it.
-    """
-    if u.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    u_max = float(u.max())
-    size = _TABLE_START
-    while True:
-        cdf = cdf_fn(np.arange(q, q + size, dtype=np.float64))
-        if cdf[-1] >= u_max or size >= _TABLE_CAP:
-            break
-        size *= 2
-    idx = np.searchsorted(cdf, u, side="left")
-    out = q + idx.astype(np.int64)
-    beyond = idx >= size
-    if beyond.any():
-        if invert is None:
-            raise ValueError("tail mass beyond table capacity; rate too small")
-        out[beyond] = [invert(float(v)) for v in u[beyond]]
+
+def _rejection(n: int, propose) -> np.ndarray:
+    """The first n accepted proposals, in order.  ``propose(m)`` returns m
+    float candidates and the mask of those accepted."""
+    out = np.empty(n)
+    k = 0
+    while k < n:
+        x, ok = propose(n - k)
+        x = x[ok]
+        out[k:k + x.size] = x
+        k += x.size
     return out
 
 
-def _first_int(q: int, done) -> int:
-    """Smallest integer x >= q with ``done(x)``, for a predicate monotone in x.
+def _zipf_proposals(alpha: float, q: int, m: int, rng):
+    """m rejection-inversion proposals for x**-alpha on integers x >= q
+    (Hoermann & Derflinger, ACM TOMACS 6:169, 1996) and their acceptance.
 
-    Doubling brackets the answer and bisection pins it; a bracket past the
-    int64 range raises instead of overflowing the caller's array.
+    The hat is y**-alpha, y = x / q, inverted through its tail integral
+    G(y) = y**(1 - alpha) / (alpha - 1), which cancels nothing near alpha = 1
+    or at large q.  Integer k owns [G((k + 1/2) / q), that + (k / q)**-alpha
+    / q] of it: its exact mass, inside its rounding cell as the hat is convex.
+    Proposals at or past 2**62 count as accepted, for _as_counts to raise.
     """
-    lo = q
-    hi = max(2 * q, q + 1)
-    while not done(hi):
-        lo = hi + 1
-        hi *= 2
-        if hi > 1 << 62:
-            raise ValueError(
-                "sampled value exceeds the integer range; "
-                "the tail is too heavy for exact inversion")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if done(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return int(lo)
+    a1 = alpha - 1.0
+
+    def bound(k):
+        return ((k + 0.5) / q) ** -a1 / a1 + (k / q) ** -alpha / q
+
+    g = (1.0 - rng.random(m)) * bound(q)
+    with np.errstate(over="ignore"):
+        # past the float range a proposal is inf
+        x = q * (a1 * g) ** (-1.0 / a1)
+    k = np.maximum(np.floor(x + 0.5), q)
+    return k, (g <= bound(k)) | (k >= _INT_LIMIT)
 
 
-def _tail_draws(alpha: float, q: int, u: np.ndarray) -> np.ndarray:
-    """Power-law variates on x >= q by inversion of the uniforms u."""
-    z_q = float(_zeta(alpha, q)[0])
-
-    def invert(v: float) -> int:
-        # P(X > x) = zeta(alpha, x + 1) / zeta(alpha, q)
-        target = (1.0 - v) * z_q
-        return _first_int(q, lambda x: _zeta(alpha, x + 1)[0] <= target)
-
-    return _table_draws(lambda xs: np.cumsum(xs ** -alpha) / z_q, q, u, invert)
+def _tail_draws(alpha: float, q: int, n: int, rng) -> np.ndarray:
+    """n power-law variates on x >= q; a variate past 2**62 raises."""
+    return _as_counts(_rejection(
+        n, lambda m: _zipf_proposals(alpha, q, m, rng)))
 
 
 def sample_power_law(model: DiscretePowerLaw, n: int, seed: int) -> CitationSample:
@@ -479,8 +468,7 @@ def sample_power_law(model: DiscretePowerLaw, n: int, seed: int) -> CitationSamp
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = derived_rng(seed, DOMAIN_SAMPLING, 0)
-    u = rng.random(int(n))
-    x = _tail_draws(model.alpha, model.x_min, u)
+    x = _tail_draws(model.alpha, model.x_min, int(n), rng)
     label = f"powerlaw(x_min={model.x_min}, alpha={model.alpha:g}, seed={seed})"
     return CitationSample(x, label=label)
 

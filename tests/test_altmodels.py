@@ -244,6 +244,12 @@ class TestSampleAlternative:
         w = xs**-2.0 * np.exp(-0.1 * xs)
         assert_allclose(s.counts.mean(), (xs * w).sum() / w.sum(), rtol=0.02)
 
+    def test_exponential_past_integer_range_is_an_error(self):
+        # mean 1e19: most draws pass 2**62
+        fit = AltFit("exponential", (1e-19,), 1, 0.0)
+        with pytest.raises(ValueError, match="exceeds the integer range"):
+            sample_alternative(fit, 5, seed=1)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="n must be"):
             sample_alternative(AltFit("exponential", (0.5,), 1, 0.0), 0, 1)
