@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp, ndtri_exp
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, log_ndtr, ndtr, ndtri_exp
 
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (_EM_COEF, _INT_LIMIT, PowerLawFit, _as_counts, _mle,
-                       _rejection, _tail_draws, _zeta, _zipf_proposals)
+from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _mle, _rejection,
+                       _tail_draws, _zeta, _zipf_proposals)
 
 __all__ = [
     "FAMILIES",
@@ -36,8 +34,8 @@ __all__ = [
 FAMILIES = ("lognormal", "exponential", "powerlaw_cutoff")
 SIGNIFICANCE = 0.10
 
-_SWEEP_CAP = 10_000
-_PARAM_TOL = 1e-7
+_NEWTON_CAP = 500
+_LOG_SQRT_2PI = 0.5 * float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,16 +64,34 @@ class ModelComparison:
 # Discretized log-mass functions, normalized over x >= x_min.
 # ---------------------------------------------------------------------------
 
-def _lognormal_logpmf(x: np.ndarray, mu: float, sigma: float, q: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _lognormal_cells(x: np.ndarray, mu: float, sigma: float, q: int):
+    """Standardized log cell edges a < b of x, the width b - a (not as a
+    difference), c of q - 1/2, and the log masses log(sf(a) - sf(b)) and
+    log sf(c)."""
     a = (np.log(x - 0.5) - mu) / sigma
     b = (np.log(x + 0.5) - mu) / sigma
-    la = norm.logsf(a)
-    lb = norm.logsf(b)
+    width = np.log1p(1.0 / (x - 0.5)) / sigma
+    c = (np.log(q - 0.5) - mu) / sigma
+    # the cell mass from its own side of the mode, sf(a) - sf(b) or, by
+    # symmetry, sf(-b) - sf(-a): a difference of tail masses below 1/2;
+    # a narrow cell's by its midpoint series pdf(m) 2h (1 + He2(m) h^2 / 3!
+    # + He4(m) h^4 / 5!), whose next term is below 1e-15 of the sum
+    left = b < 0.0
+    la = log_ndtr(np.where(left, b, -a))
+    lb = log_ndtr(np.where(left, a, -b))
+    m, h = (a + b) / 2.0, width / 2.0
+    m2, h2 = m * m, h * h
     with np.errstate(divide="ignore", invalid="ignore"):
-        # log(sf(a) - sf(b)) without cancellation in the far tail
-        lw = la + np.log1p(-np.exp(np.minimum(lb - la, 0.0)))
-    lz = norm.logsf((np.log(q - 0.5) - mu) / sigma)
+        lw = np.where(h * np.maximum(np.abs(m), 1.0) < 0.01,
+                      np.log(2.0 * h) - 0.5 * m2 - _LOG_SQRT_2PI
+                      + np.log1p(h2 * (m2 - 1.0) / 6.0
+                                 + h2 * h2 * (m2 * m2 - 6.0 * m2 + 3.0) / 120.0),
+                      la + np.log(-np.expm1(lb - la)))
+    return a, b, width, c, lw, log_ndtr(-c)
+
+
+def _lognormal_logpmf(x: np.ndarray, mu: float, sigma: float, q: int) -> np.ndarray:
+    *_, lw, lz = _lognormal_cells(np.asarray(x, dtype=np.float64), mu, sigma, q)
     return lw - lz
 
 
@@ -85,105 +101,84 @@ def _exponential_logpmf(x: np.ndarray, rate: float, q: int) -> np.ndarray:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_EM_REMAINDER_COEF = 7.0 / 6.0 / 87178291200.0  # B14 / 14!
+# B_2j / 2j, j = 1..6: Euler-Maclaurin's B_2j / (2j)! g^(2j-1) in terms of
+# the Taylor coefficient t_(2j-1) = g^(2j-1) / (2j-1)!; B_14 / 14 is 1/12
+_EM_TAYLOR = np.array([1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760])
 
 
-def _log_upper_gamma(a: float, z: float) -> float:
-    """log of the upper incomplete gamma Gamma(a, z), any real a, z > 0.
+def _moment_rows(one, u, d, mul=np.multiply):
+    """The weights 1, u, d, u^2, u d, d^2 of the cutoff's moment sums,
+    stacked on a new first axis; ``mul`` multiplies two weights."""
+    return np.stack([one, u, d, mul(u, u), mul(u, d), mul(d, d)])
 
-    Substituting t = z e^v gives z^a * int_0^inf exp(a v - z e^v) dv with a
-    smooth integrand and no endpoint singularity.  Composite Gauss-Legendre
-    with panel widths capped at 4 / max|exponent slope| keeps each panel's
-    quadrature error below 1e-15 relative.  Unlike the Gamma(a) * Q(a, z)
-    factoring, this has no poles to dodge at nonpositive integer a.
-    """
-    abs_a = abs(a)
-    # beyond t = z e^v of this size the exponent sits > 60 below its peak
+
+def _em_tail(alpha: float, rate: float, big_x: int, q: int):
+    """Euler-Maclaurin sums over x >= X of f(x) = x^(-alpha) e^(-rate x)
+    times each _moment_rows weight of u = log(x/q) and d = x - q: (shift,
+    sums, bounds on their omitted remainders), in units of exp(shift)."""
+    xf = float(big_x)
+    z, abs_a = rate * xf, abs(2.0 - alpha) + 1.0
+    # The integral is X f(X) int exp(g) w dv, g = (1 - alpha) v - z (e^v - 1).
+    # Gauss-Legendre panels no wider than 4 / max|slope| keep each panel's
+    # error below 1e-15 relative; past z e^v = z + 150 + 5 |a| every
+    # integrand, up to the weight d^2 ~ e^(2v), is > 60 below its peak.
     v_hi = float(np.log1p((150.0 + 5.0 * abs_a) / z))
     edges = [0.0]
-    v = 0.0
-    g_peak = -z
-    while v < v_hi:
-        t = z * np.exp(v)
-        g = a * v - t
-        if t > a and g < g_peak - 60.0:
-            break
-        g_peak = max(g_peak, g)
-        v = min(v + min(1.0, 4.0 / (abs_a + 2.8 * t)), v_hi)
-        edges.append(v)
-    mid = (np.asarray(edges[1:]) + np.asarray(edges[:-1])) / 2.0
-    half = (np.asarray(edges[1:]) - np.asarray(edges[:-1])) / 2.0
-    vs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    g = a * vs - z * np.exp(vs)
-    m = float(np.max(g))
-    return a * float(np.log(z)) + m + float(np.log(np.dot(ws, np.exp(g - m))))
-
-
-def _em_tail_log(alpha: float, rate: float, big_x: int) -> tuple[float, bool]:
-    """Euler-Maclaurin value of log sum_{x>=X} x^(-alpha) e^(-rate x).
-
-    Returns (value, ok); ok is False when the first omitted correction is
-    not negligible and the caller must fall back to direct summation.
-    """
-    xf = float(big_x)
-    log_i = (alpha - 1.0) * float(np.log(rate)) + _log_upper_gamma(1.0 - alpha, rate * xf)
+    while edges[-1] < v_hi:
+        width = min(1.0, 4.0 / (abs_a + 2.8 * z * np.exp(edges[-1])))
+        edges.append(min(edges[-1] + width, v_hi))
+    edges = np.asarray(edges)
+    half = (edges[1:] - edges[:-1]) / 2.0
+    vs = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+    g = (1.0 - alpha) * vs - z * np.expm1(vs)
+    m = max(float(np.max(g)), 0.0)
+    integral = xf * (_moment_rows(np.ones_like(vs), np.log(xf / q) + vs,
+                                  xf * np.exp(vs) - q)
+                     @ ((half[:, None] * _GL_WEIGHTS).ravel() * np.exp(g - m)))
+    # Taylor coefficients about X over f(X), of f w for each weight w: those
+    # of x^-alpha, e^(-rate x) and the weights, multiplied by convolution
+    def mul(a, b):
+        return np.convolve(a, b)[:14]
+    k = np.arange(1.0, 14.0)
+    taylor_f = mul(np.cumprod(np.r_[1.0, (1.0 - alpha - k) / (k * xf)]),
+                   np.cumprod(np.r_[1.0, -rate / k]))
+    rows = _moment_rows(np.eye(14)[0], np.r_[np.log(xf / q), -(-1.0 / xf) ** k / k],
+                        np.r_[xf - q, 1.0, np.zeros(12)], mul)
+    taylor = np.array([mul(taylor_f, row) for row in rows])
+    corr = 0.5 * taylor[:, 0] - taylor[:, 1:12:2] @ _EM_TAYLOR
+    bound = np.abs(taylor[:, 13]) / 12.0
     log_f = -alpha * float(np.log(xf)) - rate * xf
-    # f^(k)(x) = f(x) P_k(1/x) with rate folded into the coefficients:
-    # P_0 = 1, P_{k+1} = P_k' - (alpha/x + rate) P_k
-    coef = np.zeros((14, 14))
-    coef[0, 0] = 1.0
-    for k in range(13):
-        coef[k + 1, 1:] -= (np.arange(13) + alpha) * coef[k, :13]
-        coef[k + 1, :] -= rate * coef[k, :]
-    deriv = coef @ xf ** -np.arange(14.0)
-    corr = 0.5
-    for j, c in enumerate(_EM_COEF):
-        corr -= c * deriv[2 * j + 1]
-    remainder = _EM_REMAINDER_COEF * abs(float(deriv[13]))
-    tail_over_f = float(np.exp(min(log_i - log_f, 700.0)))
-    if corr <= 0.0 or remainder > 1e-13 * (corr + tail_over_f):
-        return 0.0, False
-    return float(np.logaddexp(log_i, log_f + np.log(corr))), True
+    return log_f + m, integral + corr * np.exp(-m), bound * np.exp(-m)
 
 
-def _cutoff_log_z_series(alpha: float, rate: float, q: int) -> float:
-    log_total = -np.inf
-    x0 = q
-    block = 4096
-    # geometric remainder bound is valid once terms decay by at least
-    # e^(-rate/2) per step, i.e. past x = 2*max(0, -alpha)/rate
-    decay_from = max(q, int(2.0 * max(0.0, -alpha) / rate) + 1)
-    log_ratio_gap = -rate / 2.0 - np.log(-np.expm1(-rate / 2.0))
-    while True:
-        xs = np.arange(x0, x0 + block, dtype=np.float64)
-        log_total = np.logaddexp(log_total, logsumexp(-alpha * np.log(xs) - rate * xs))
-        x0 += block
-        if x0 >= decay_from:
-            log_rem = -alpha * np.log(x0) - rate * x0 + log_ratio_gap
-            if log_rem < log_total - 30.0:
-                return float(log_total)
-        # large rates finish in a few blocks; growing blocks keep the block
-        # count logarithmic when more terms are needed
-        block = min(block * 2, 1 << 22)
+def _cutoff_moments(alpha: float, rate: float, q: int):
+    """log Z, and the mean (less (log q, q)) and covariance of (log x, x)
+    under the cutoff pmf with rate > 0: 64 terms summed directly, the rest
+    by Euler-Maclaurin, whose remainder bounds stay below 1e-15 of each sum
+    for alpha in [-5, 30] (large rates only where e^(-64 rate) is nil)."""
+    xs = np.arange(q, q + 64, dtype=np.float64)
+    lf = -alpha * np.log(xs) - rate * xs
+    head_shift = float(np.max(lf))
+    tail_shift, tail, bound = _em_tail(alpha, rate, q + 64, q)
+    shift = max(head_shift, tail_shift)
+    scale = np.exp(tail_shift - shift)
+    sums = (_moment_rows(np.ones(64), np.log(xs / q), xs - q)
+            @ np.exp(lf - shift) + tail * scale)
+    if not np.all(bound * scale <= 1e-15 * sums):
+        raise ArithmeticError(f"no accurate cutoff normalizer at alpha {alpha}, "
+                              f"rate {rate}, x_min {q}")
+    e = sums[1:] / sums[0]
+    cov = np.array([[e[2], e[3]], [e[3], e[4]]]) - np.outer(e[:2], e[:2])
+    return shift + float(np.log(sums[0])), e[:2], cov
 
 
 def _cutoff_log_z(alpha: float, rate: float, q: int) -> float:
-    """log of Z = sum_{x>=q} x^(-alpha) e^(-rate x), to relative 1e-12."""
+    """log of Z = sum_{x>=q} x^(-alpha) e^(-rate x), to relative 1e-13."""
     if rate == 0.0:
         if alpha <= 1.0:
             return np.inf  # divergent; caller treats as invalid
         return float(np.log(_zeta(alpha, q)[0]))
-    if rate < 0.25:
-        # direct summation needs ~1/rate terms here; Euler-Maclaurin after
-        # 64 leading terms is O(1)
-        big_x = q + 64
-        xs = np.arange(q, big_x, dtype=np.float64)
-        head = logsumexp(-alpha * np.log(xs) - rate * xs)
-        tail, ok = _em_tail_log(alpha, rate, big_x)
-        if ok:
-            return float(np.logaddexp(head, tail))
-    return _cutoff_log_z_series(alpha, rate, q)
+    return _cutoff_moments(alpha, rate, q)[0]
 
 
 def _cutoff_logpmf(x: np.ndarray, alpha: float, rate: float, q: int) -> np.ndarray:
@@ -200,71 +195,104 @@ def _tail_summary(sample: CitationSample, x_min: int):
     if tail.size == 0:
         raise ValueError("empty tail")
     values, counts = np.unique(tail, return_counts=True)
-    return tail, values.astype(np.float64), counts.astype(np.float64)
+    return values.astype(np.float64), counts.astype(np.float64)
 
 
-def _descend(negll, start, bounds):
-    """Coordinate descent with bounded Brent per coordinate.
+def _line_search(model, p, ll, step, lo, hi):
+    """(point, model output) at the first of p + t step, projected onto the
+    box, where ll does not decrease; None if none moves p.  t is 1, then
+    the t (up to 1) at which the step first leaves the box, halved 59 times."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(step > 0.0, hi - p, lo - p) / step
+    cut = np.min(reach, initial=1.0, where=reach > 0.0)
+    for t in np.r_[1.0, cut * 0.5 ** np.arange(60)]:
+        trial = np.clip(p + t * step, lo, hi)
+        if np.array_equal(trial, p):
+            return None
+        out = model(trial)
+        if out[0] >= ll:
+            return trial, out
+    return None
 
-    Accepts only improving moves; stops when a full sweep moves no
-    coordinate by more than _PARAM_TOL.  After each sweep a line search
-    along the sweep's total displacement takes a pattern step: plain
-    sweeps crawl along curved likelihood valleys (the lognormal drifts
-    with mu ~ -sigma^2 on power-law-like tails), and the pattern step
-    restores geometric progress there.
+
+def _newton(model, start, lo, hi):
+    """Maximize ll over the box [lo, hi] by safeguarded Newton (Nocedal &
+    Wright, Numerical Optimization, 2nd ed., ch. 3); ``model(p)`` gives
+    (ll, score, Hessian), ll = -inf where p is not admissible.
+
+    The ascent step is the score over |diag Hessian|.  Coordinates that it
+    carries out of the box take it, to the edge; the others take Newton's
+    step where their Hessian is negative definite.  Where _line_search finds
+    no point along that step, the ascent step is tried.  A first step whose
+    first-order gain is within 1e-13 |ll| of zero is the last, and may lower
+    ll by as much, its rounding error.
     """
-    x = [float(v) for v in start]
-    fx = float(negll(x))
-    # the objective may be +inf at a box edge; fminbound's parabola
-    # arithmetic then produces transient nans that it discards itself
-    with np.errstate(invalid="ignore"):
-        return _descend_loop(negll, x, fx, bounds)
+    p = np.clip(np.asarray(start, dtype=np.float64), lo, hi)
+    ll, g, h = model(p)
+    for _ in range(_NEWTON_CAP):
+        ascent = g / np.maximum(np.abs(np.diag(h)), 1e-300)
+        free = (p + ascent >= lo) & (p + ascent <= hi)
+        hf = h[np.ix_(free, free)]
+        steps = [ascent]
+        if free.any() and np.all(np.linalg.eigvalsh(hf) < 0.0):
+            steps.insert(0, ascent.copy())
+            steps[0][free] = np.linalg.solve(hf, -g[free])
+        trial = np.clip(p + steps[0], lo, hi)
+        if abs(g @ (trial - p)) <= 1e-13 * abs(ll):
+            # a gain near what ll resolves: only its rounding is tested
+            last = model(trial)[0]
+            return (trial, last) if last >= ll - 1e-13 * abs(ll) else (p, ll)
+        for step in steps:
+            found = _line_search(model, p, ll, step, lo, hi)
+            if found is not None:
+                break
+        else:
+            return p, ll
+        p, (ll, g, h) = found
+    raise RuntimeError(f"fit did not converge after {_NEWTON_CAP} Newton steps "
+                       f"(last point {p.tolist()}, ll {ll})")
 
 
-def _descend_loop(negll, x, fx, bounds):
-    for _ in range(_SWEEP_CAP):
-        base = list(x)
-        moved = 0.0
-        for i in range(len(x)):
-            def along(t, i=i):
-                trial = list(x)
-                trial[i] = t
-                return negll(trial)
-            res = minimize_scalar(along, bounds=bounds[i], method="bounded",
-                                  options={"xatol": 1e-9})
-            if res.fun < fx:
-                moved = max(moved, abs(float(res.x) - x[i]))
-                x[i] = float(res.x)
-                fx = float(res.fun)
-        step = [a - b for a, b in zip(x, base)]
-        reach = _box_reach(x, step, bounds)
-        if reach > 0.0:
-            def extrapolate(t):
-                return negll([a + t * d for a, d in zip(x, step)])
-            res = minimize_scalar(extrapolate, bounds=(0.0, reach),
-                                  method="bounded", options={"xatol": 1e-9})
-            if res.fun < fx:
-                t = float(res.x)
-                moved = max(moved, max(abs(t * d) for d in step))
-                x = [a + t * d for a, d in zip(x, step)]
-                fx = float(res.fun)
-        if moved < _PARAM_TOL:
-            return x, -fx
-    raise RuntimeError(f"fit did not converge after {_SWEEP_CAP} sweeps "
-                       f"(last point {x}, -ll {fx})")
+def _lognormal_model(values, counts, q):
+    """(ll, score, Hessian) in (mu, sigma^2) of the discretized lognormal,
+    in which the ridge mu ~ -beta sigma^2 of power-law-like tails is straight.
 
+    The log-pmf is log P - log sf(c), P = sf(a) - sf(b), with edges
+    z = (log y - mu) / sigma, dz = -(1, z) / sigma, d2z = [[0, 1], [1, 2 z]]
+    / sigma^2 in (mu, sigma).  Derivatives of log P come from r = pdf(b) / P
+    and rd = (pdf(a) - pdf(b)) / P, so a narrow cell's curvature is not a
+    difference of terms of order a^2."""
+    n = counts.sum()
 
-def _box_reach(x, step, bounds):
-    """Largest t >= 0 keeping x + t * step inside the bounds box."""
-    reach = np.inf
-    for a, d, (lo, hi) in zip(x, step, bounds):
-        if d > 0.0:
-            reach = min(reach, (hi - a) / d)
-        elif d < 0.0:
-            reach = min(reach, (lo - a) / d)
-    if not np.isfinite(reach):
-        return 0.0
-    return max(reach, 0.0)
+    def model(p):
+        mu, sigma = p[0], float(np.sqrt(p[1]))
+        a, b, width, c, lw, lc = _lognormal_cells(values, mu, sigma, q)
+        ll = float(np.sum(counts * (lw - lc)))
+        if not np.isfinite(ll):
+            return -np.inf, None, None
+        r = np.exp(-0.5 * b * b - _LOG_SQRT_2PI - lw)
+        t = 0.5 * width * (a + b)  # pdf(a) - pdf(b) from the edge nearer the mode
+        rd = (np.sign(t) * -np.expm1(-np.abs(t))
+              * np.exp(-0.5 * np.minimum(a * a, b * b) - _LOG_SQRT_2PI - lw))
+        rc = np.exp(-0.5 * c * c - _LOG_SQRT_2PI - lc)
+        # log P: -rd and m are its slopes in a shift and a scale of the edges
+        m = a * rd - width * r
+        saa = m - rd * rd
+        sab = r * (rd - b)
+        sbb = -r * (b + r)
+        s1 = n * rc - counts @ rd
+        s2 = n * c * rc - counts @ m
+        cc = n * rc * (rc - c)
+        hmm = counts @ saa + cc
+        hms = counts @ (saa * a + sab * width) + cc * c + s1
+        hss = (counts @ (saa * a * a + 2.0 * sab * width * a + sbb * width * width)
+               + cc * c * c + 2.0 * s2)
+        # from (mu, sigma), where these are the score times sigma and the
+        # Hessian times sigma^2, to (mu, sigma^2)
+        j = np.array([1.0, 0.5 / sigma]) / sigma
+        hess = np.array([[hmm, hms], [hms, hss + s2]]) * np.outer(j, j)
+        return ll, -np.array([s1, s2]) * j, hess
+    return model
 
 
 def _fit_lognormal(values, counts, q):
@@ -273,19 +301,11 @@ def _fit_lognormal(values, counts, q):
     n = counts.sum()
     logs = np.log(values)
     mu0 = float(np.sum(counts * logs) / n)
-    sigma0 = float(np.sqrt(np.sum(counts * (logs - mu0) ** 2) / n))
-    sigma0 = max(sigma0, 1e-2)
-
-    def negll(p):
-        mu, sigma = p
-        lw = _lognormal_logpmf(values, mu, sigma, q)
-        if not np.all(np.isfinite(lw)):
-            return np.inf
-        return -float(np.sum(counts * lw))
-
-    bounds = [(mu0 - 200.0, mu0 + 50.0), (1e-3, 100.0)]
-    (mu, sigma), ll = _descend(negll, (mu0, sigma0), bounds)
-    return AltFit("lognormal", (mu, sigma), q, ll)
+    sigma0 = max(float(np.sqrt(np.sum(counts * (logs - mu0) ** 2) / n)), 1e-2)
+    # the box mu0 - 200 <= mu <= mu0 + 50, 1e-3 <= sigma <= 100
+    (mu, var), ll = _newton(_lognormal_model(values, counts, q), (mu0, sigma0 ** 2),
+                            np.array([mu0 - 200.0, 1e-6]), np.array([mu0 + 50.0, 1e4]))
+    return AltFit("lognormal", (float(mu), float(np.sqrt(var))), q, ll)
 
 
 def _fit_exponential(values, counts, q):
@@ -299,62 +319,77 @@ def _fit_exponential(values, counts, q):
     return AltFit("exponential", (rate,), q, ll)
 
 
-def _fit_cutoff(values, counts, q, anchor=None):
-    """Cutoff MLE; ``anchor`` is an externally fitted (alpha, ll) of the
-    nested pure power law, used as an exact likelihood floor."""
-    if values.size < 2:
-        raise ValueError("degenerate tail")
+def _cutoff_model(values, counts, q):
+    """(ll, score, Hessian) in (alpha, rate) of the cutoff, rate > 0: an
+    exponential family in (alpha, rate), so the score is n (model mean - mean)
+    of (log x, x) and the Hessian -n times their model covariance."""
     n = counts.sum()
     log_sum = float(np.sum(counts * np.log(values)))
     lin_sum = float(np.sum(counts * values))
-    if anchor is None:
-        alpha, ll, _ = _mle([log_sum], [n], [q])
-        alpha_pl, ll_pl = float(alpha[0]), float(ll[0])
-    else:
-        alpha_pl, ll_pl = anchor
+    stats = np.array([np.sum(counts * np.log(values / q)),
+                      np.sum(counts * (values - q))]) / n
 
-    def negll(p):
+    def model(p):
         alpha, rate = p
-        lz = _cutoff_log_z(alpha, rate, q)
-        if not np.isfinite(lz):
-            return np.inf
-        return alpha * log_sum + rate * lin_sum + n * lz
+        if rate == 0.0:
+            return -np.inf, None, None
+        lz, mean, cov = _cutoff_moments(alpha, rate, q)
+        ll = -float(alpha * log_sum + rate * lin_sum + n * lz)
+        return ll, n * (mean - stats), -n * cov
+    return model
 
-    bounds = [(-5.0, 30.0), (0.0, 10.0)]
+
+def _fit_cutoff(values, counts, q, anchor=None):
+    """Cutoff MLE.  ``anchor`` is the (alpha, ll) of the nested pure power
+    law (fitted here if not given): the best point of the rate = 0 edge, so
+    an exact floor.  The log-likelihood is concave, so the anchor is the
+    optimum unless its rate score n (E[x] - mean x) is positive (E[x] is
+    infinite for alpha <= 2).  Then _newton starts above the anchor, at
+    rate 1 / max x, halved as needed, and never needs the edge."""
+    if values.size < 2:
+        raise ValueError("degenerate tail")
+    if anchor is None:
+        alpha, ll, _ = _mle([np.sum(counts * np.log(values))], [counts.sum()], [q])
+        anchor = float(alpha[0]), float(ll[0])
+    alpha_pl, ll_pl = anchor
+    nested = AltFit("powerlaw_cutoff", (alpha_pl, 0.0), q, ll_pl)
+    if alpha_pl > 2.0:
+        z, z_shift = _zeta([alpha_pl, alpha_pl - 1.0], q)[0]
+        if z_shift <= z * float(np.sum(counts * values) / counts.sum()):
+            return nested
+    model = _cutoff_model(values, counts, q)
+    lo, hi = np.array([-5.0, 0.0]), np.array([30.0, 10.0])
+    start = _line_search(model, np.array([alpha_pl, 0.0]), ll_pl,
+                         np.array([0.0, 1.0 / values[-1]]), lo, hi)
+    if start is None:
+        return nested
     try:
-        (alpha, rate), ll = _descend(negll, (alpha_pl, 0.0), bounds)
+        (alpha, rate), ll = _newton(model, start[0], lo, hi)
     except RuntimeError:
-        alpha, rate, ll = alpha_pl, 0.0, ll_pl
-    # the pure power law is the rate -> 0 member of this family, so its
-    # likelihood is a floor; never report a worse-than-nested optimum
+        return nested
     if ll < ll_pl:
-        alpha, rate, ll = alpha_pl, 0.0, ll_pl
-    if rate < 1e-14:
-        rate = 0.0
-    return AltFit("powerlaw_cutoff", (alpha, rate), q, ll)
+        return nested
+    return AltFit("powerlaw_cutoff", (float(alpha), float(rate)), q, ll)
+
+
+def _fit(family: str, values, counts, q: int, anchor=None) -> AltFit:
+    """MLE of one family on a tail summary; ``anchor`` serves the cutoff."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family!r}")
+    if family == "lognormal":
+        return _fit_lognormal(values, counts, q)
+    if family == "exponential":
+        return _fit_exponential(values, counts, q)
+    return _fit_cutoff(values, counts, q, anchor)
 
 
 def fit_alternative(sample: CitationSample, x_min: int, family: str) -> AltFit:
     """MLE of a discretized alternative on the tail x >= x_min."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family: {family!r}")
     x_min = int(x_min)
     if x_min < 1:
         raise ValueError("x_min must be a positive integer")
-    _, values, counts = _tail_summary(sample, x_min)
-    if family == "lognormal":
-        return _fit_lognormal(values, counts, x_min)
-    if family == "exponential":
-        return _fit_exponential(values, counts, x_min)
-    return _fit_cutoff(values, counts, x_min)
-
-
-def _alt_logpmf(fit: AltFit, x: np.ndarray) -> np.ndarray:
-    if fit.family == "lognormal":
-        return _lognormal_logpmf(x, fit.params[0], fit.params[1], fit.x_min)
-    if fit.family == "exponential":
-        return _exponential_logpmf(x, fit.params[0], fit.x_min)
-    return _cutoff_logpmf(x, fit.params[0], fit.params[1], fit.x_min)
+    values, counts = _tail_summary(sample, x_min)
+    return _fit(family, values, counts, x_min)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +405,7 @@ def _vuong(d: np.ndarray, weights: np.ndarray) -> tuple[float, float, float]:
     if var <= 0.0:
         return lr, 0.0, 1.0
     z = lr / np.sqrt(n * var)
-    return lr, float(z), float(2.0 * norm.sf(abs(z)))
+    return lr, float(z), float(2.0 * ndtr(-abs(z)))
 
 
 def _verdict(lr: float, p: float) -> str:
@@ -388,25 +423,21 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
     the variance-normalized statistic; the nested cutoff gets a chi-square
     p on 2|lr| with one degree of freedom.
     """
-    _, values, counts = _tail_summary(sample, pl.x_min)
+    values, counts = _tail_summary(sample, pl.x_min)
     pl_logpmf = pl.model().logpmf(values)
     results = []
     for family in alternatives:
-        if family == "powerlaw_cutoff":
-            # anchoring at the caller's fit makes lr <= 0 exact, not merely
-            # within float error of the independently recomputed optimum
-            fit = _fit_cutoff(values, counts, pl.x_min,
-                              anchor=(pl.alpha, pl.log_likelihood))
-        else:
-            fit = fit_alternative(sample, pl.x_min, family)
-        alt_logpmf = _alt_logpmf(fit, values)
-        d = pl_logpmf - alt_logpmf
+        # anchoring the cutoff at the caller's fit makes lr <= 0 exact, not
+        # merely within float error of an independently recomputed optimum
+        fit = _fit(family, values, counts, pl.x_min,
+                   anchor=(pl.alpha, pl.log_likelihood))
         if family == "powerlaw_cutoff":
             lr = pl.log_likelihood - fit.log_likelihood
-            p = float(chi2.sf(2.0 * abs(lr), df=1))
+            p = float(chdtrc(1, 2.0 * abs(lr)))
             results.append(ModelComparison(family, lr, None, p, _verdict(lr, p)))
         else:
-            lr, z, p = _vuong(d, counts)
+            logpmf = _lognormal_logpmf if family == "lognormal" else _exponential_logpmf
+            lr, z, p = _vuong(pl_logpmf - logpmf(values, *fit.params, pl.x_min), counts)
             note = None
             if z == 0.0 and p == 1.0 and lr == 0.0:
                 note = "zero variance of pointwise log-likelihood differences"
@@ -474,8 +505,8 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
             raise ValueError("sigma must be positive")
         # the pmf is the mass on [x - 1/2, x + 1/2] of a lognormal Y truncated
         # to Y >= q - 1/2, so X is Y rounded, Y drawn from its log survival
-        log_sf = np.log1p(-rng.random(int(n))) + norm.logsf(
-            (np.log(q - 0.5) - mu) / sigma)
+        log_sf = np.log1p(-rng.random(int(n))) + log_ndtr(
+            (mu - np.log(q - 0.5)) / sigma)
         with np.errstate(over="ignore"):
             y = np.exp(mu - sigma * ndtri_exp(log_sf))
         x = _as_counts(np.maximum(q, np.ceil(y - 0.5)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .dataset import SubfieldAggregate
 
@@ -83,7 +83,7 @@ def scaling_fit(points: Sequence[ScalingPoint]) -> ScalingFit:
     r2 = 1.0 - sse / sst if sst > 0 else 1.0
     if se > 0:
         t_stat = slope / se
-        p_value = float(2.0 * student_t.sf(abs(t_stat), df))
+        p_value = float(2.0 * stdtr(df, -abs(t_stat)))
     else:
         t_stat = math.inf if slope > 0 else (-math.inf if slope < 0 else 0.0)
         p_value = 0.0 if slope != 0 else 1.0

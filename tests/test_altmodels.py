@@ -12,7 +12,8 @@ from heavytails import (CitationSample, DiscretePowerLaw, compare_models,
                         fit_alternative, fit_power_law, hurwitz_zeta,
                         sample_alternative, sample_power_law)
 from heavytails.altmodels import (FAMILIES, AltFit, _cutoff_log_z,
-                                  _lognormal_logpmf, _vuong)
+                                  _cutoff_model, _lognormal_logpmf,
+                                  _lognormal_model, _tail_summary, _vuong)
 from heavytails.powerlaw import PowerLawFit
 
 
@@ -122,6 +123,144 @@ class TestCutoffFit:
         assert_allclose(pmf.sum(), 1.0, rtol=1e-13)
 
 
+def _mp_score_and_hessian(ll, point):
+    """Score and Hessian of ll at point, by mpmath.diff."""
+    p = tuple(mpmath.mpf(v) for v in point)
+    with mpmath.workdps(12):
+        g = [mpmath.diff(ll, p, order) for order in ((1, 0), (0, 1))]
+        h = [mpmath.diff(ll, p, order) for order in ((2, 0), (1, 1), (0, 2))]
+    return (np.array(g, dtype=float),
+            np.array([[h[0], h[1]], [h[1], h[2]]], dtype=float))
+
+
+def _mp_lognormal_ll(values, counts, q):
+    half = mpmath.mpf(0.5)
+
+    def sf(z):
+        return mpmath.erfc(z / mpmath.sqrt(2)) / 2
+
+    def ll(mu, var):
+        sigma = mpmath.sqrt(var)
+        total = -int(counts.sum()) * mpmath.log(
+            sf((mpmath.log(q - half) - mu) / sigma))
+        for x, k in zip(values.tolist(), counts.tolist()):
+            a = (mpmath.log(x - half) - mu) / sigma
+            b = (mpmath.log(x + half) - mu) / sigma
+            # each cell's mass from its own side of the mode
+            mass = sf(a) - sf(b) if b > 0 else sf(-b) - sf(-a)
+            total += int(k) * mpmath.log(mass)
+        return total
+    return ll
+
+
+def _mp_cutoff_ll(values, counts, q):
+    def ll(alpha, rate):
+        # Z = Li_alpha(e^-rate) less the terms below q
+        z = mpmath.polylog(alpha, mpmath.exp(-rate)) - mpmath.fsum(
+            mpmath.mpf(k) ** -alpha * mpmath.exp(-rate * k) for k in range(1, q))
+        return (-alpha * log_sum - rate * lin_sum
+                - int(counts.sum()) * mpmath.log(z))
+    log_sum = mpmath.fsum(int(k) * mpmath.log(int(x))
+                          for x, k in zip(values.tolist(), counts.tolist()))
+    lin_sum = int(np.sum(counts * values))
+    return ll
+
+
+@pytest.fixture(scope="module")
+def narrow_sample():
+    """Lognormal draws so concentrated (sigma = 0.01) that every cell lies
+    within a few dozen standard deviations of the mode at sigma = 2e-3."""
+    return sample_alternative(AltFit("lognormal", (3.0, 0.01), 1, 0.0), 500,
+                              seed=5)
+
+
+class TestDerivatives:
+    """The analytic score and Hessian against mpmath.diff of the mpmath
+    log-likelihood, at points spread over each family's box."""
+
+    @pytest.mark.parametrize("name,q,point", [
+        ("pl_tail_sample", 11, (-140.0, 9.8)),     # the far ridge of the fit
+        ("pl_tail_sample", 11, (1.0, 2.0)),
+        ("pl_tail_sample", 11, (2.0, 99.5)),        # sigma near its top
+        ("pl_tail_sample", 11, ("top", 60.0)),      # mu near its top
+        ("narrow_sample", 1, ("bottom", 30.0)),     # mu near its bottom
+        ("narrow_sample", 1, (3.0, 2e-3)),          # sigma near its bottom
+    ])
+    def test_lognormal(self, name, q, point, request):
+        values, counts = _tail_summary(request.getfixturevalue(name), q)
+        # the fit's box is mu0 - 200 <= mu <= mu0 + 50, mu0 the mean log x
+        mu0 = float(np.sum(counts * np.log(values)) / counts.sum())
+        mu = {"top": mu0 + 49.5, "bottom": mu0 - 199.5}.get(point[0], point[0])
+        # the model's coordinates are (mu, sigma^2)
+        ll, score, hess = _lognormal_model(values, counts, q)(
+            np.array([mu, point[1] ** 2]))
+        g, h = _mp_score_and_hessian(_mp_lognormal_ll(values, counts, q),
+                                     (mu, point[1] ** 2))
+        assert_allclose(score, g, rtol=1e-8)
+        assert_allclose(hess, h, rtol=1e-8)
+
+    @pytest.mark.parametrize("name,q,point", [
+        ("pl_tail_sample", 11, (2.4, 2e-5)),
+        ("pl_tail_sample", 11, (-4.9, 0.3)),        # alpha near its bottom
+        ("heavy_sample", 1, (1.5, 1e-8)),           # rate near 0
+        ("heavy_sample", 1, (0.5, 9.9)),            # rate near its top
+        ("pl_sample", 1, (2.0, 0.5)),
+        ("pl_sample", 1, (29.5, 1e-3)),             # alpha near its top
+    ])
+    def test_cutoff(self, name, q, point, request):
+        values, counts = _tail_summary(request.getfixturevalue(name), q)
+        ll, score, hess = _cutoff_model(values, counts, q)(np.array(point))
+        g, h = _mp_score_and_hessian(_mp_cutoff_ll(values, counts, q), point)
+        assert_allclose(score, g, rtol=1e-8)
+        assert_allclose(hess, h, rtol=1e-8)
+
+
+# (x_min, lognormal ll, cutoff ll) of the coordinate-descent fits that the
+# Newton fits replaced, at each fixture's fitted x_min
+_DESCENT_LL = {
+    "pl_sample": (1, -23418.687846155706, -23411.574964369756),
+    "pl_tail_sample": (11, -24737.65562126773, -24737.691784096893),
+    "heavy_sample": (1, -15980.846036631378, -15977.749039291797),
+}
+
+
+class TestOptimum:
+    @pytest.mark.parametrize("name", sorted(_DESCENT_LL))
+    def test_no_worse_than_coordinate_descent(self, name, request):
+        sample = request.getfixturevalue(name)
+        x_min, ll_lognormal, ll_cutoff = _DESCENT_LL[name]
+        for family, pin in (("lognormal", ll_lognormal),
+                            ("powerlaw_cutoff", ll_cutoff)):
+            fit = fit_alternative(sample, x_min, family)
+            assert fit.log_likelihood >= pin - 1e-9 * abs(pin), family
+
+    def test_heavy_cutoff_above_coordinate_descent(self, heavy_sample):
+        # the descent stopped early here
+        fit = fit_alternative(heavy_sample, 1, "powerlaw_cutoff")
+        assert fit.log_likelihood >= _DESCENT_LL["heavy_sample"][2] + 4e-3
+
+    @pytest.mark.parametrize("name", sorted(_DESCENT_LL))
+    def test_score_vanishes_off_the_box_edges(self, name, request):
+        sample = request.getfixturevalue(name)
+        x_min = _DESCENT_LL[name][0]
+        values, counts = _tail_summary(sample, x_min)
+        n = counts.sum()
+        mu0 = float(np.sum(counts * np.log(values)) / n)
+        for family, model, lo, hi in (
+                ("lognormal", _lognormal_model(values, counts, x_min),
+                 (mu0 - 200.0, 1e-6), (mu0 + 50.0, 1e4)),
+                ("powerlaw_cutoff", _cutoff_model(values, counts, x_min),
+                 (-5.0, 0.0), (30.0, 10.0))):
+            params = np.array(fit_alternative(sample, x_min, family).params)
+            if family == "lognormal":
+                params[1] **= 2.0  # the model's coordinates are (mu, sigma^2)
+            # every cutoff optimum here has rate > 0, where the model is defined
+            assert params[-1] > 0.0
+            _, score, _ = model(params)
+            free = (params > lo) & (params < hi)
+            assert np.all(np.abs(score[free]) <= 1e-6 * n), (family, score)
+
+
 class TestVuong:
     def test_hand_computed(self):
         # lr = 6, mean = 2, sum of squared deviations = 2, z = 6 / sqrt(2)
@@ -197,6 +336,13 @@ class TestCompareModels:
         pl = fit_power_law(pl_tail_sample, bootstrap_reps=0)
         results = compare_models(pl_tail_sample, pl)
         assert tuple(r.alternative for r in results) == FAMILIES
+
+    def test_statistics_are_python_floats(self, heavy_sample):
+        # documents and tables print them with repr
+        pl = fit_power_law(heavy_sample, bootstrap_reps=0)
+        for r in compare_models(heavy_sample, pl):
+            assert all(type(v) is float for v in (r.lr, r.p)), r
+            assert r.z is None or type(r.z) is float, r
 
     def test_empty_tail_rejected(self, tiny_sample):
         pl = PowerLawFit(x_min=10**9, alpha=2.5, n_tail=0, ks=0.0,

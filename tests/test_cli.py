@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface via cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heavytails
 from heavytails import SubfieldAggregate, __version__, read_counts
 from heavytails.cli import main
 from heavytails.dataset import write_aggregates
@@ -342,3 +347,18 @@ class TestReportCommand:
         bad.write_text('{"document": "mystery"}')
         assert run("report", "--input", bad) == 1
         assert "unknown document kind" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_imports_no_scipy_optimize_or_stats(self):
+        # a fresh interpreter, with the package under test first on the path
+        env = dict(os.environ)
+        root = str(Path(heavytails.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (root, env.get("PYTHONPATH"))))
+        probe = ("import sys, heavytails.cli; print(sorted(m for m in "
+                 "('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
