@@ -5,76 +5,54 @@ bootstrap uncertainties), tests plausibility with a semi-parametric Monte
 Carlo bootstrap, compares against lognormal/exponential/cutoff
 alternatives by likelihood ratio, and measures the scaling relationship
 between citation impact and output across subfields.
+
+Exports and submodules load on first use (PEP 562), so a command that
+needs neither numpy nor scipy imports neither.
 """
 
-from ._version import __version__
-from .altmodels import (AltFit, FAMILIES, ModelComparison, compare_models,
-                        fit_alternative, sample_alternative)
-from .dataset import (AGGREGATE_COLUMNS, CitationSample, PartitionShares,
-                      SubfieldAggregate, SummaryStats, partition_shares,
-                      read_aggregates, read_counts, summarize,
-                      write_aggregates, write_counts)
-from .gof import GofResult, RULE_OUT_THRESHOLD, gof_test, required_sims
-from .ingest import (BiblioRecord, DOC_TYPES, ParseResult, build_aggregates,
-                     classify_collaboration, filter_years, mode_samples,
-                     normalize_journal, parse_export, read_classification,
-                     write_export)
-from .powerlaw import (DiscretePowerLaw, PowerLawFit, ccdf_table, fit_alpha,
-                       fit_power_law, hurwitz_zeta, ks_distance,
-                       sample_power_law)
-from .scaling import (MODES, ScalingFit, ScalingPoint, expected_cbp,
-                      matthew_factor, performance_indicator,
-                      points_from_aggregates, scaling_fit, scatter_table)
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "AGGREGATE_COLUMNS",
-    "AltFit",
-    "BiblioRecord",
-    "CitationSample",
-    "DOC_TYPES",
-    "DiscretePowerLaw",
-    "FAMILIES",
-    "GofResult",
-    "MODES",
-    "ModelComparison",
-    "ParseResult",
-    "PartitionShares",
-    "PowerLawFit",
-    "RULE_OUT_THRESHOLD",
-    "ScalingFit",
-    "ScalingPoint",
-    "SubfieldAggregate",
-    "SummaryStats",
-    "build_aggregates",
-    "ccdf_table",
-    "classify_collaboration",
-    "compare_models",
-    "expected_cbp",
-    "filter_years",
-    "fit_alpha",
-    "fit_alternative",
-    "fit_power_law",
-    "gof_test",
-    "hurwitz_zeta",
-    "ks_distance",
-    "matthew_factor",
-    "mode_samples",
-    "normalize_journal",
-    "parse_export",
-    "partition_shares",
-    "performance_indicator",
-    "points_from_aggregates",
-    "read_aggregates",
-    "read_classification",
-    "read_counts",
-    "required_sims",
-    "sample_alternative",
-    "sample_power_law",
-    "scaling_fit",
-    "scatter_table",
-    "summarize",
-    "write_aggregates",
-    "write_counts",
-    "write_export",
-]
+from ._version import __version__
+
+# module -> the public names loaded from it; the two constants come from the
+# numpy-free module that defines them
+_EXPORTS = {
+    "_constants": ("FAMILIES", "MODES"),
+    "altmodels": ("AltFit", "ModelComparison", "compare_models",
+                  "fit_alternative", "sample_alternative"),
+    "dataset": ("AGGREGATE_COLUMNS", "CitationSample", "PartitionShares",
+                "SubfieldAggregate", "SummaryStats", "partition_shares",
+                "read_aggregates", "read_counts", "summarize",
+                "write_aggregates", "write_counts"),
+    "gof": ("GofResult", "RULE_OUT_THRESHOLD", "gof_test", "required_sims"),
+    "ingest": ("BiblioRecord", "DOC_TYPES", "ParseResult", "build_aggregates",
+               "classify_collaboration", "filter_years", "mode_samples",
+               "normalize_journal", "parse_export", "read_classification",
+               "write_export"),
+    "powerlaw": ("DiscretePowerLaw", "PowerLawFit", "ccdf_table", "fit_alpha",
+                 "fit_power_law", "hurwitz_zeta", "ks_distance",
+                 "sample_power_law"),
+    "scaling": ("ScalingFit", "ScalingPoint", "expected_cbp",
+                "matthew_factor", "performance_indicator",
+                "points_from_aggregates", "scaling_fit", "scatter_table"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+_SUBMODULES = frozenset(_EXPORTS) - {"_constants"} | {
+    "cli", "documents", "report"}
+
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -1,0 +1,11 @@
+"""Names and defaults the command-line parser needs, free of numpy.
+
+Each is defined here once and re-exported from the module that uses it:
+`altmodels`, `scaling`, `powerlaw` and `gof`.
+"""
+
+FAMILIES = ("lognormal", "exponential", "powerlaw_cutoff")
+MODES = ("overall", "collaboration", "single")
+DEFAULT_MIN_TAIL = 50
+DEFAULT_BOOTSTRAP_REPS = 1000
+DEFAULT_SIMS = 2500

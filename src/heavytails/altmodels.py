@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, log_ndtr, ndtr, ndtri_exp
 
+from ._constants import FAMILIES
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
 from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _mle, _rejection,
@@ -31,7 +32,6 @@ __all__ = [
     "sample_alternative",
 ]
 
-FAMILIES = ("lognormal", "exponential", "powerlaw_cutoff")
 SIGNIFICANCE = 0.10
 
 _NEWTON_CAP = 500

@@ -4,6 +4,8 @@ Commands: ingest, fit, gof, compare, scaling, simulate, report.  Machine
 documents and plot CSVs go to files; human tables come from `report`;
 progress notes go to stderr so data streams stay clean.  All randomness
 flows from --seed, and results are identical for any --threads value.
+Each command imports the package modules it runs, when it runs, so that
+`report` and `--version` start without numpy or scipy.
 """
 
 from __future__ import annotations
@@ -15,17 +17,10 @@ import sys
 from pathlib import Path
 
 from . import documents
+from ._constants import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL,
+                         DEFAULT_SIMS, FAMILIES, MODES)
 from ._version import __version__
-from .altmodels import FAMILIES, AltFit, compare_models, sample_alternative
-from .dataset import read_aggregates, read_counts, write_aggregates, write_counts
-from .gof import DEFAULT_SIMS, gof_test, required_sims
-from .ingest import (build_aggregates, filter_years, mode_samples,
-                     normalize_journal, parse_export, read_classification)
-from .powerlaw import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL,
-                       DiscretePowerLaw, ccdf_table, fit_power_law,
-                       sample_power_law)
 from .report import render
-from .scaling import MODES, points_from_aggregates, scaling_fit, scatter_table
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -129,6 +124,7 @@ def _resolve_sims(args) -> int:
             raise ValueError("--sims must be at least 1")
         return args.sims
     if getattr(args, "epsilon", None) is not None:
+        from .gof import required_sims
         return required_sims(args.epsilon)
     return DEFAULT_SIMS
 
@@ -167,14 +163,17 @@ def _fit_like_command(args, n_sims=None) -> str:
 
 
 def _cmd_fit(args) -> None:
+    from .dataset import read_counts
+    from .gof import gof_test
+    from .powerlaw import ccdf_table, fit_power_law
+
     sample = read_counts(args.input, label=args.label)
-    threads = max(1, args.threads)
     n_sims = _resolve_sims(args) if args.gof else None
     if args.bootstrap > 0:
         print(f"bootstrap: {args.bootstrap} replicates", file=sys.stderr)
     fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
                         bootstrap_reps=args.bootstrap, seed=args.seed,
-                        workers=threads)
+                        workers=args.threads)
     command = _fit_like_command(args, n_sims)
     digest = documents.file_digest(args.input)
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -187,8 +186,8 @@ def _cmd_fit(args) -> None:
                ccdf_table(sample, fit.model()))
     if args.gof:
         print(f"gof: {n_sims} simulations", file=sys.stderr)
-        result = gof_test(sample, fit, n_sims, args.seed, workers=threads,
-                          min_tail=args.min_tail)
+        result = gof_test(sample, fit, n_sims, args.seed,
+                          workers=args.threads, min_tail=args.min_tail)
         gdoc = documents.gof_document(result, fit, sample.label,
                                       command=command, seed=args.seed,
                                       input_digest=digest)
@@ -196,13 +195,16 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_gof(args) -> None:
+    from .dataset import read_counts
+    from .gof import gof_test
+    from .powerlaw import fit_power_law
+
     sample = read_counts(args.input, label=args.label)
-    threads = max(1, args.threads)
     n_sims = _resolve_sims(args)
     fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
                         bootstrap_reps=0, seed=args.seed)
     print(f"gof: {n_sims} simulations", file=sys.stderr)
-    result = gof_test(sample, fit, n_sims, args.seed, workers=threads,
+    result = gof_test(sample, fit, n_sims, args.seed, workers=args.threads,
                       min_tail=args.min_tail)
     command = _fit_like_command(args, n_sims)
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -213,6 +215,10 @@ def _cmd_gof(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    from .altmodels import compare_models
+    from .dataset import read_counts
+    from .powerlaw import fit_power_law
+
     sample = read_counts(args.input, label=args.label)
     alternatives = tuple(a.strip() for a in args.alternatives.split(",")
                          if a.strip())
@@ -236,6 +242,9 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_scaling(args) -> None:
+    from .dataset import read_aggregates
+    from .scaling import points_from_aggregates, scaling_fit, scatter_table
+
     aggregates = read_aggregates(args.input)
     modes = MODES if args.mode == "all" else (args.mode,)
     results = {}
@@ -261,6 +270,8 @@ def _cmd_scaling(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from .dataset import write_counts
+
     if args.n < 1:
         raise ValueError("--n must be at least 1")
 
@@ -273,11 +284,13 @@ def _cmd_simulate(args) -> None:
     command_parts = ["simulate", "--family", args.family,
                      "--xmin", str(args.xmin)]
     if args.family == "powerlaw":
+        from .powerlaw import DiscretePowerLaw, sample_power_law
         need(alpha=args.alpha)
         model = DiscretePowerLaw(args.xmin, args.alpha)
         command_parts += ["--alpha", repr(args.alpha)]
         sample = sample_power_law(model, args.n, args.seed)
     else:
+        from .altmodels import AltFit, sample_alternative
         if args.family == "exponential":
             need(rate=args.rate)
             params = (args.rate,)
@@ -304,6 +317,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
+    from .dataset import write_aggregates, write_counts
+    from .ingest import (build_aggregates, filter_years, mode_samples,
+                         normalize_journal, parse_export, read_classification)
+
     if (args.year_min is not None and args.year_max is not None
             and args.year_min > args.year_max):
         raise ValueError(f"--year-min {args.year_min} is after "
@@ -384,6 +401,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("--threads must be at least 1")
         _RUNNERS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

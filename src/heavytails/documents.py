@@ -12,13 +12,15 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ._version import __version__
-from .altmodels import ModelComparison
-from .gof import GofResult
-from .powerlaw import PowerLawFit
-from .scaling import ScalingFit, matthew_factor
+
+if TYPE_CHECKING:
+    from .altmodels import ModelComparison
+    from .gof import GofResult
+    from .powerlaw import PowerLawFit
+    from .scaling import ScalingFit
 
 __all__ = [
     "DOCUMENT_KINDS",
@@ -118,6 +120,8 @@ def compare_document(comparisons: Iterable[ModelComparison],
 
 def scaling_document(results: Mapping[str, tuple[ScalingFit, list[tuple[str, str]]]],
                      *, command: str, seed: int, input_digest: str) -> dict:
+    from .scaling import matthew_factor  # loaded by whoever built ``results``
+
     doc = _envelope("scaling", command, seed, input_digest)
     doc["modes"] = {
         mode: {

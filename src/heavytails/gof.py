@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._constants import DEFAULT_SIMS
 from ._rng import DOMAIN_GOF, derived_rng
 from .dataset import CitationSample
 from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _replicates, _scan,
@@ -24,7 +25,6 @@ __all__ = ["GofResult", "required_sims", "gof_test", "RULE_OUT_THRESHOLD",
            "DEFAULT_SIMS"]
 
 RULE_OUT_THRESHOLD = 0.10
-DEFAULT_SIMS = 2500
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._constants import DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL
 from ._rng import DOMAIN_BOOTSTRAP, DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
 
@@ -31,9 +32,6 @@ __all__ = [
     "DEFAULT_MIN_TAIL",
     "DEFAULT_BOOTSTRAP_REPS",
 ]
-
-DEFAULT_MIN_TAIL = 50
-DEFAULT_BOOTSTRAP_REPS = 1000
 
 # Euler-Maclaurin evaluation of the Hurwitz zeta: a direct sum of the first
 # _EM_TERMS terms when q < _EM_TERMS, then integral + trapezoid + Bernoulli

@@ -110,8 +110,19 @@ _RENDERERS = {
 
 
 def render(doc: dict) -> str:
-    """Render any result document as a plain-text report."""
+    """Render any result document as a plain-text report.
+
+    A document that is not a JSON object, or lacks a field its kind
+    needs, raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("a result document must be a JSON object")
     kind = doc.get("document")
-    if kind not in _RENDERERS:
+    if not isinstance(kind, str) or kind not in _RENDERERS:
         raise ValueError(f"unknown document kind: {kind!r}")
-    return _RENDERERS[kind](doc)
+    try:
+        return _RENDERERS[kind](doc)
+    except KeyError as exc:
+        raise ValueError(f"{kind} document lacks field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from None

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import stdtr
 
+from ._constants import MODES
 from .dataset import SubfieldAggregate
 
 __all__ = [
@@ -29,8 +30,6 @@ __all__ = [
     "points_from_aggregates",
     "scatter_table",
 ]
-
-MODES = ("overall", "collaboration", "single")
 
 
 @dataclass(frozen=True, slots=True)

@@ -158,6 +158,17 @@ class TestFit:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["fit", "gof"])
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, counts_file, tmp_path, capsys,
+                                        command, threads):
+        out = tmp_path / "out"
+        assert run(command, "--input", counts_file, "--outdir", out,
+                   "--sims", 5, "--threads", threads) == 1
+        assert capsys.readouterr().err == (
+            "error: --threads must be at least 1\n")
+        assert not out.exists()
+
 
 class TestGofCommand:
     def test_epsilon_resolves_sims(self, counts_file, tmp_path):
@@ -348,17 +359,101 @@ class TestReportCommand:
         assert run("report", "--input", bad) == 1
         assert "unknown document kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"document": "fit", "seed": 1}',
+         "fit document lacks field 'label'"),
+        ('{"document": "gof", "label": "x", "x_min": 1, "alpha": 2.5}',
+         "gof document lacks field 'ruled_out'"),
+        ('[1, 2]', "a result document must be a JSON object"),
+        ('{"document": ["fit"]}', "unknown document kind: ['fit']"),
+        ('{"document": "compare", "label": "x", "x_min": 1, "alpha": 2.5,'
+         ' "comparisons": [1]}', "malformed compare document"),
+    ], ids=["fit-field", "gof-field", "array", "kind", "nested"])
+    def test_malformed_document_is_an_error(self, tmp_path, capsys, text,
+                                            message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("report", "--input", bad) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
+
+def fresh_python(code, *args, cwd=None):
+    """Run ``code`` in a fresh interpreter, with the package under test
+    first on the path; return its standard output."""
+    env = dict(os.environ)
+    root = str(Path(heavytails.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (root, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, cwd=cwd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# runs one command, then prints its exit code and the heavy modules it loaded
+COMMAND_PROBE = """
+import json, sys
+from heavytails.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+"""
+
+NAMESPACE_PROBE = """
+import sys, types
+import heavytails
+assert "numpy" not in sys.modules
+for name in ("documents", "report", "powerlaw"):
+    assert isinstance(getattr(heavytails, name), types.ModuleType), name
+listed = dir(heavytails)
+for name in heavytails.__all__:
+    getattr(heavytails, name)
+    assert name in listed, name
+try:
+    heavytails.no_such_name
+except AttributeError:
+    print("ok")
+"""
+
 
 class TestImports:
     def test_cli_imports_no_scipy_optimize_or_stats(self):
-        # a fresh interpreter, with the package under test first on the path
-        env = dict(os.environ)
-        root = str(Path(heavytails.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (root, env.get("PYTHONPATH"))))
         probe = ("import sys, heavytails.cli; print(sorted(m for m in "
                  "('scipy.optimize', 'scipy.stats') if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert fresh_python(probe).strip() == "[]"
+
+    @pytest.fixture()
+    def workdir(self, tmp_path, counts_file, export_lines,
+                classification_lines):
+        (tmp_path / "counts.txt").write_bytes(counts_file.read_bytes())
+        (tmp_path / "export.tsv").write_text("".join(export_lines))
+        (tmp_path / "map.csv").write_text("".join(classification_lines))
+        assert run("fit", "--input", tmp_path / "counts.txt", "--outdir",
+                   tmp_path / "doc", "--bootstrap", 0) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["--version"], []),
+        (["report", "--input", "doc/fit.json"], []),
+        (["simulate", "--family", "powerlaw", "--n", 100, "--alpha", 2.5,
+          "--output", "sim.txt"], ["numpy"]),
+        (["fit", "--input", "counts.txt", "--outdir", "out", "--bootstrap",
+          5, "--gof", "--sims", 5], ["numpy"]),
+        (["gof", "--input", "counts.txt", "--outdir", "out", "--sims", 5],
+         ["numpy"]),
+        (["ingest", "--input", "export.tsv", "--map", "map.csv", "--outdir",
+          "out"], ["numpy"]),
+        (["compare", "--input", "counts.txt", "--outdir", "out"],
+         ["numpy", "scipy"]),
+    ], ids=["version", "report", "simulate", "fit", "gof", "ingest",
+            "compare"])
+    def test_command_imports_only_what_it_runs(self, workdir, argv, loaded):
+        out = fresh_python(COMMAND_PROBE, *argv, cwd=workdir)
+        assert json.loads(out.splitlines()[-1]) == [0, loaded]
+
+    def test_exports_load_on_first_use(self):
+        assert fresh_python(NAMESPACE_PROBE).strip() == "ok"
