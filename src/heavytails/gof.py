@@ -18,7 +18,7 @@ import numpy as np
 from ._constants import DEFAULT_SIMS
 from ._rng import DOMAIN_GOF, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _replicates, _scan,
+from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _fit_each, _replicates,
                        _tail_draws, ks_distance)
 
 __all__ = ["GofResult", "required_sims", "gof_test", "RULE_OUT_THRESHOLD",
@@ -48,20 +48,18 @@ def required_sims(epsilon: float) -> int:
 def _gof_chunk(args) -> list[float]:
     start, stop, body, x_min, alpha, n, seed, min_tail = args
     p_tail = 1.0 - body.size / n
-    ks_values = []
-    for r in range(start, stop):
+
+    def synthetic(r):
         rng = derived_rng(seed, DOMAIN_GOF, r)
         n_tail = int(rng.binomial(n, p_tail))
         synth = np.concatenate([
             _tail_draws(alpha, x_min, n_tail, rng),
             body[rng.integers(0, body.size, size=n - n_tail)]])
-        positive = np.sort(synth[synth >= 1])
-        try:
-            ks_values.append(_scan(positive, min_tail).ks)
-        except ValueError:
-            # no admissible tail in the synthetic draw; scored as exceeding
-            ks_values.append(np.inf)
-    return ks_values
+        return np.sort(synth[synth >= 1])
+
+    fits = _fit_each(map(synthetic, range(start, stop)), min_tail, None)
+    # a synthetic draw without an admissible tail is scored as exceeding
+    return [np.inf if fit is None else fit.ks for fit in fits]
 
 
 def gof_test(sample: CitationSample, fit: PowerLawFit,

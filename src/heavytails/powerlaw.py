@@ -11,7 +11,6 @@ from a nonparametric bootstrap.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,7 +45,7 @@ _EM_COEF = (
     5.0 / 66.0 / 3628800.0,
     -691.0 / 2730.0 / 479001600.0,
 )
-_ZETA_CHUNK = 1 << 12
+_ZETA_CHUNK = 1 << 11
 
 
 def _zeta(s, q, derivs: bool = False) -> np.ndarray:
@@ -186,17 +185,39 @@ class PowerLawFit:
 # ---------------------------------------------------------------------------
 
 class _TailIndex:
-    """Unique positive values with tail sizes and tail log-sums."""
+    """Unique positive values of one or more samples, each with its tail
+    size, the count above it, its tail log-sum, the rank of its first
+    observation, and the end of its sample's values."""
 
-    __slots__ = ("values", "suffix_n", "suffix_logsum")
+    __slots__ = ("values", "suffix_n", "above", "suffix_logsum", "rank",
+                 "end")
 
     def __init__(self, positive_sorted: np.ndarray):
         values, first, counts = np.unique(positive_sorted, return_index=True,
                                           return_counts=True)
         self.values = values
         self.suffix_n = positive_sorted.size - first
+        self.above = self.suffix_n - counts
         logsums = counts * np.log(values.astype(np.float64))
         self.suffix_logsum = np.cumsum(logsums[::-1])[::-1]
+        self.rank = first
+        self.end = np.full(values.size, values.size)
+
+    @classmethod
+    def join(cls, indexes: list) -> "_TailIndex":
+        """One index over several samples; every tail stays in its sample."""
+        if len(indexes) == 1:
+            return indexes[0]
+        out = cls.__new__(cls)
+        for name in ("values", "suffix_n", "above", "suffix_logsum"):
+            setattr(out, name,
+                    np.concatenate([getattr(ix, name) for ix in indexes]))
+        shift = np.cumsum([0] + [ix.values.size for ix in indexes])
+        ranks = np.cumsum([0] + [ix.suffix_n[0] for ix in indexes])
+        out.end = np.concatenate([ix.end + s for ix, s in zip(indexes, shift)])
+        out.rank = np.concatenate([ix.rank + r
+                                   for ix, r in zip(indexes, ranks)])
+        return out
 
 
 def _positive_part(counts: np.ndarray) -> np.ndarray:
@@ -207,7 +228,15 @@ def _positive_part(counts: np.ndarray) -> np.ndarray:
 
 _ALPHA_LO, _ALPHA_HI = 1.0 + 1e-9, 512.0
 _NEWTON_CAP = 100
-_KS_PAIRS = 1 << 16
+_KS_PAIRS = 1 << 14
+# A tail's KS bound looks at its first _PROBE values and at _PROBE quantiles
+# of its observations.  One solve holds at most about _SPAN_VALUES unique
+# values, and a span has at least _SPAN_MIN replicates.  CHANGES.md gives
+# the measurements behind these three and the sizes of _KS_PAIRS and
+# _ZETA_CHUNK, which bound the working memory of a solve.
+_PROBE = 8
+_SPAN_VALUES = 1 << 12
+_SPAN_MIN = 32
 
 
 def _mle(log_sum, n, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,50 +278,101 @@ def _mle(log_sum, n, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _ks(index: _TailIndex, starts: np.ndarray, alpha: np.ndarray,
-        z_q: np.ndarray) -> np.ndarray:
-    """KS distance of each tail ``values[starts[c]:]`` from its model with
-    exponent alpha[c] and normalizer z_q[c], at the observed values.  The
-    kernel takes (candidate, value) pairs in groups of max(_KS_PAIRS, m)."""
-    m = index.values.size
-    above = np.append(index.suffix_n[1:], 0)
+        z_q: np.ndarray, probe: bool = False) -> np.ndarray:
+    """KS distance of each tail, the values from ``starts[c]`` to the end of
+    its sample, from its model with exponent alpha[c] and normalizer z_q[c],
+    at the observed values.
+
+    With ``probe``, only the tail's first _PROBE values and the values at
+    _PROBE evenly spaced quantiles of its observations count.  A pair's
+    distance has the same bits either way, so that is a lower bound on the
+    KS, and the KS itself for tails of up to 2 _PROBE values.  The kernel
+    takes (candidate, value) pairs in groups of max(_KS_PAIRS, one tail's).
+    """
+    length = index.end[starts] - starts
+    sizes = np.minimum(length, 2 * _PROBE) if probe else length
+    ends = np.cumsum(sizes)
+    heads = ends - sizes
     ks = np.empty(starts.size)
-    per = max(1, _KS_PAIRS // m)
-    for lo in range(0, starts.size, per):
-        group = np.arange(lo, min(lo + per, starts.size))
-        sizes = m - starts[group]
-        ends = np.cumsum(sizes)
-        c = np.repeat(group, sizes)
-        j = np.arange(ends[-1]) + np.repeat(m - ends, sizes)
-        n = index.suffix_n[starts[c]]
+    lo = 0
+    while lo < starts.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, heads[lo] + _KS_PAIRS,
+                                             side="right")))
+        c = np.repeat(np.arange(lo, hi), sizes[lo:hi])
+        k = np.arange(heads[lo], ends[hi - 1]) - heads[c]
+        s = starts[c]
+        j = s + k
+        if probe:
+            i = k - (_PROBE - 1)
+            far = (i > 0) & (length[c] > 2 * _PROBE)
+            # the value holding observation rank[s] + n i / (_PROBE + 1)
+            target = (index.rank[s[far]] + index.suffix_n[s[far]] * i[far]
+                      // (_PROBE + 1))
+            j[far] = np.searchsorted(index.rank, target, side="right") - 1
+        n = index.suffix_n[s]
         model = 1.0 - _zeta(alpha[c], index.values[j] + 1.0)[0] / z_q[c]
-        dist = np.abs((n - above[j]) / n - model)
-        ks[group] = np.maximum.reduceat(dist, ends - sizes)
+        dist = np.abs((n - index.above[j]) / n - model)
+        ks[lo:hi] = np.maximum.reduceat(dist, heads[lo:hi] - heads[lo])
+        lo = hi
     return ks
 
 
-def _best_fit(index: _TailIndex, starts: np.ndarray,
-              q: np.ndarray) -> PowerLawFit:
-    """The candidate fit with the smallest KS (the first of ties), SDs 0."""
+def _argmins(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """np.argmin of each segment x[bounds[i]:bounds[i + 1]]."""
+    return np.array([a + int(np.argmin(x[a:b]))
+                     for a, b in zip(bounds[:-1], bounds[1:])], dtype=np.intp)
+
+
+def _best_fits(tails: list) -> list[PowerLawFit]:
+    """The candidate fit with the smallest KS (the first of ties, SDs 0) of
+    each sample in ``tails``, a list of ``_candidates`` results.
+
+    One MLE solve and one KS bound serve every candidate.  The full KS is
+    computed for each sample's candidate with the smallest bound, then for
+    every candidate whose bound does not exceed that KS.  Any other
+    candidate's KS is at least its bound, so it is larger than the winner's.
+    """
+    index = _TailIndex.join([t[0] for t in tails])
+    shift = np.cumsum([0] + [t[0].values.size for t in tails])
+    starts = np.concatenate([t[1] + s for t, s in zip(tails, shift)])
+    q = np.concatenate([t[2] for t in tails])
+    bounds = np.cumsum([0] + [t[1].size for t in tails])
     n = index.suffix_n[starts]
     alpha, ll, z = _mle(index.suffix_logsum[starts], n, q)
-    ks = _ks(index, starts, alpha, z)
-    b = int(np.argmin(ks))
-    return PowerLawFit(int(q[b]), float(alpha[b]), int(n[b]), float(ks[b]),
-                       0.0, 0.0, float(ll[b]))
+    bound = _ks(index, starts, alpha, z, probe=True)
+    known = index.end[starts] - starts <= 2 * _PROBE
+    ks = np.where(known, bound, np.inf)
+    lead = _argmins(bound, bounds)
+    todo = lead[~known[lead]]
+    ks[todo] = _ks(index, starts[todo], alpha[todo], z[todo])
+    known[todo] = True
+    # the other candidates whose bound does not exceed their sample's lead
+    # KS; a NaN on either side keeps a candidate, as np.argmin picks NaN
+    sample = np.repeat(np.arange(len(tails)), np.diff(bounds))
+    todo = np.nonzero(~known & ~(bound > ks[lead][sample]))[0]
+    ks[todo] = _ks(index, starts[todo], alpha[todo], z[todo])
+    return [PowerLawFit(int(q[b]), float(alpha[b]), int(n[b]), float(ks[b]),
+                        0.0, 0.0, float(ll[b]))
+            for b in _argmins(ks, bounds)]
 
 
-def _scan(positive_sorted: np.ndarray, min_tail: int) -> PowerLawFit:
-    """Pick x_min among observed values by KS minimization; ties go small."""
-    index = _TailIndex(positive_sorted)
-    m = index.values.size
-    starts = np.nonzero((index.suffix_n >= max(int(min_tail), 2))
-                        & (np.arange(m) <= m - 2))[0]
-    if starts.size == 0:
-        raise ValueError("insufficient tail")
-    return _best_fit(index, starts, index.values[starts])
+def _candidates(positive_sorted: np.ndarray, min_tail: int,
+                x_min: int | None = None) -> tuple:
+    """(index, starts, q): the tail digest of one sample, and the positions
+    and values of its x_min candidates.
 
-
-def _fit_fixed(positive_sorted: np.ndarray, x_min: int) -> PowerLawFit:
+    The candidates are the observed values whose tail holds at least
+    max(min_tail, 2) observations, the largest value excepted, or the pinned
+    ``x_min`` alone.  Raises ValueError when there is none.
+    """
+    if x_min is None:
+        index = _TailIndex(positive_sorted)
+        m = index.values.size
+        starts = np.nonzero((index.suffix_n >= max(int(min_tail), 2))
+                            & (np.arange(m) <= m - 2))[0]
+        if starts.size == 0:
+            raise ValueError("insufficient tail")
+        return index, starts, index.values[starts]
     x_min = int(x_min)
     if x_min < 1:
         raise ValueError("x_min must be a positive integer")
@@ -302,7 +382,42 @@ def _fit_fixed(positive_sorted: np.ndarray, x_min: int) -> PowerLawFit:
     if index.values.size < 2:
         raise ValueError("degenerate tail")
     # the tail is conditioned on x >= x_min even when x_min is not observed
-    return _best_fit(index, np.zeros(1, dtype=np.intp), np.array([x_min]))
+    return index, np.zeros(1, dtype=np.intp), np.array([x_min])
+
+
+def _fit_each(samples, min_tail: int,
+              x_min: int | None) -> list[PowerLawFit | None]:
+    """The best fit of each positive sorted sample, in order; None for a
+    sample without a usable tail.
+
+    ``samples`` may be a generator: only each sample's tail digest is kept.
+    Samples are solved together, about _SPAN_VALUES unique values at a time.
+    """
+    fits, batch, slots = [], [], []
+    held = 0
+    for positive in samples:
+        try:
+            batch.append(_candidates(positive, min_tail, x_min))
+        except ValueError:
+            fits.append(None)
+            continue
+        slots.append(len(fits))
+        fits.append(None)
+        held += batch[-1][0].values.size
+        if held >= _SPAN_VALUES:
+            for slot, fit in zip(slots, _best_fits(batch)):
+                fits[slot] = fit
+            batch, slots, held = [], [], 0
+    if batch:
+        for slot, fit in zip(slots, _best_fits(batch)):
+            fits[slot] = fit
+    return fits
+
+
+def _fit(positive_sorted: np.ndarray, min_tail: int,
+         x_min: int | None = None) -> PowerLawFit:
+    """The best fit of one sample; ValueError without a usable tail."""
+    return _best_fits([_candidates(positive_sorted, min_tail, x_min)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +430,7 @@ def fit_alpha(sample: CitationSample, x_min: int) -> tuple[float, float]:
     Returns ``(alpha, log_likelihood)``.  alpha is the root of the
     likelihood score, found by safeguarded Newton to within rounding.
     """
-    res = _fit_fixed(_positive_part(sample.counts), x_min)
+    res = _fit(_positive_part(sample.counts), DEFAULT_MIN_TAIL, x_min)
     return res.alpha, res.log_likelihood
 
 
@@ -333,16 +448,20 @@ def _replicates(chunk_fn, args: tuple, total: int, workers: int) -> list:
     """Results of replicates 0..total-1, in replicate order.
 
     ``chunk_fn((start, stop) + args)`` returns the results of one span of
-    replicates.  Each replicate seeds itself from (seed, domain, r), so
-    neither the spans nor the worker count can change a result.
+    replicates.  A span holds at least _SPAN_MIN replicates, so a job of
+    fewer than 2 _SPAN_MIN runs in process.  Each replicate seeds itself from
+    (seed, domain, r), so neither the spans nor the worker count can change
+    a result.
     """
     parts = workers * 4 if workers > 1 else 1
-    edges = np.linspace(0, total, min(parts, total) + 1).astype(int)
+    spans = max(1, min(parts, total // _SPAN_MIN))
+    edges = np.linspace(0, total, spans + 1).astype(int)
     jobs = [(int(a), int(b)) + args
             for a, b in zip(edges[:-1], edges[1:]) if b > a]
     # the fork start method launches every requested process up front
     procs = min(workers, len(jobs), os.cpu_count() or 1)
     if procs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(chunk_fn, jobs))
     else:
@@ -352,22 +471,16 @@ def _replicates(chunk_fn, args: tuple, total: int, workers: int) -> list:
 
 def _bootstrap_chunk(args) -> list[tuple[float, float]]:
     start, stop, counts, seed, min_tail, fixed_x_min = args
-    out = []
     n = counts.size
-    for r in range(start, stop):
+
+    def resample(r):
         rng = derived_rng(seed, DOMAIN_BOOTSTRAP, r)
-        resample = counts[rng.integers(0, n, size=n)]
-        positive = np.sort(_positive_part(resample))
-        try:
-            if fixed_x_min is None:
-                res = _scan(positive, min_tail)
-            else:
-                res = _fit_fixed(positive, fixed_x_min)
-            out.append((res.alpha, float(res.x_min)))
-        except ValueError:
-            # a replicate without a usable tail carries no estimate
-            out.append((np.nan, np.nan))
-    return out
+        return np.sort(_positive_part(counts[rng.integers(0, n, size=n)]))
+
+    fits = _fit_each(map(resample, range(start, stop)), min_tail, fixed_x_min)
+    # a replicate without a usable tail carries no estimate
+    return [(np.nan, np.nan) if fit is None else (fit.alpha, float(fit.x_min))
+            for fit in fits]
 
 
 def fit_power_law(sample: CitationSample, *,
@@ -385,11 +498,7 @@ def fit_power_law(sample: CitationSample, *,
     (``bootstrap_reps=0`` skips the bootstrap and reports 0.0).
     """
     counts = sample.counts
-    positive = _positive_part(counts)
-    if x_min is None:
-        main = _scan(positive, min_tail)
-    else:
-        main = _fit_fixed(positive, int(x_min))
+    main = _fit(_positive_part(counts), min_tail, x_min)
 
     if bootstrap_reps > 0:
         pairs = _replicates(_bootstrap_chunk, (counts, seed, min_tail, x_min),

@@ -69,6 +69,9 @@ def _render_compare(doc: dict) -> str:
 
 
 def _render_scaling(doc: dict) -> str:
+    if not isinstance(doc["modes"], dict) or not doc["modes"]:
+        raise ValueError("scaling document needs 'modes' to be a non-empty "
+                         "object")
     rows = []
     notes = []
     for mode in ("overall", "collaboration", "single"):

@@ -368,7 +368,12 @@ class TestReportCommand:
         ('{"document": ["fit"]}', "unknown document kind: ['fit']"),
         ('{"document": "compare", "label": "x", "x_min": 1, "alpha": 2.5,'
          ' "comparisons": [1]}', "malformed compare document"),
-    ], ids=["fit-field", "gof-field", "array", "kind", "nested"])
+        ('{"document": "scaling", "modes": []}',
+         "scaling document needs 'modes' to be a non-empty object"),
+        ('{"document": "scaling", "modes": {}}',
+         "scaling document needs 'modes' to be a non-empty object"),
+    ], ids=["fit-field", "gof-field", "array", "kind", "nested",
+            "scaling-modes-list", "scaling-modes-empty"])
     def test_malformed_document_is_an_error(self, tmp_path, capsys, text,
                                             message):
         bad = tmp_path / "bad.json"
@@ -379,14 +384,16 @@ class TestReportCommand:
         assert captured.out == ""
 
 
-def fresh_python(code, *args, cwd=None):
-    """Run ``code`` in a fresh interpreter, with the package under test
-    first on the path; return its standard output."""
+def fresh_python(code, *args, cwd=None, module=False):
+    """Run ``code`` (or, with ``module``, the module it names) in a fresh
+    interpreter, with the package under test first on the path; return its
+    standard output."""
     env = dict(os.environ)
     root = str(Path(heavytails.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (root, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+    proc = subprocess.run([sys.executable, "-m" if module else "-c", code,
+                           *map(str, args)],
                           env=env, cwd=cwd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -400,7 +407,8 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+heavy = ("numpy", "scipy", "concurrent.futures")
+print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 """
 
 NAMESPACE_PROBE = """
@@ -443,17 +451,25 @@ class TestImports:
           "--output", "sim.txt"], ["numpy"]),
         (["fit", "--input", "counts.txt", "--outdir", "out", "--bootstrap",
           5, "--gof", "--sims", 5], ["numpy"]),
+        # a job this small starts no process pool
+        (["fit", "--input", "counts.txt", "--outdir", "out", "--bootstrap",
+          5, "--gof", "--sims", 5, "--threads", 2], ["numpy"]),
         (["gof", "--input", "counts.txt", "--outdir", "out", "--sims", 5],
          ["numpy"]),
         (["ingest", "--input", "export.tsv", "--map", "map.csv", "--outdir",
           "out"], ["numpy"]),
+        # scipy.special imports concurrent.futures itself
         (["compare", "--input", "counts.txt", "--outdir", "out"],
-         ["numpy", "scipy"]),
-    ], ids=["version", "report", "simulate", "fit", "gof", "ingest",
-            "compare"])
+         ["numpy", "scipy", "concurrent.futures"]),
+    ], ids=["version", "report", "simulate", "fit", "fit-threads", "gof",
+            "ingest", "compare"])
     def test_command_imports_only_what_it_runs(self, workdir, argv, loaded):
         out = fresh_python(COMMAND_PROBE, *argv, cwd=workdir)
         assert json.loads(out.splitlines()[-1]) == [0, loaded]
+
+    def test_module_runs_as_a_script(self):
+        out = fresh_python("heavytails.cli", "--version", module=True)
+        assert out.strip() == f"heavytails {__version__}"
 
     def test_exports_load_on_first_use(self):
         assert fresh_python(NAMESPACE_PROBE).strip() == "ok"

@@ -1,9 +1,11 @@
 """Hurwitz zeta, the discrete power law, MLE, the x_min scan, and sampling."""
 
+import concurrent.futures
 import hashlib
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import heavytails.gof as gof_module
 import heavytails.powerlaw as powerlaw_module
 from heavytails import (
     AltFit,
@@ -19,12 +22,15 @@ from heavytails import (
     ccdf_table,
     fit_alpha,
     fit_power_law,
+    gof_test,
     hurwitz_zeta,
     ks_distance,
     sample_alternative,
     sample_power_law,
 )
-from heavytails.powerlaw import _ks, _mle, _replicates, _TailIndex, _zeta
+from heavytails.gof import _gof_chunk
+from heavytails.powerlaw import (PowerLawFit, _bootstrap_chunk, _ks, _mle,
+                                 _replicates, _TailIndex, _zeta)
 
 mpmath.mp.dps = 30
 
@@ -277,6 +283,148 @@ class TestScan:
             fit_power_law(pl_sample, x_min=x_min, bootstrap_reps=4)
 
 
+def _exhaustive_fit(positive_sorted, min_tail=50):
+    """The scan's reference: every candidate's full KS, then np.argmin."""
+    index = _TailIndex(positive_sorted)
+    m = index.values.size
+    starts = np.nonzero((index.suffix_n >= max(min_tail, 2))
+                        & (np.arange(m) < m - 1))[0]
+    if starts.size == 0:
+        return None
+    q, n = index.values[starts], index.suffix_n[starts]
+    alpha, ll, z = _mle(index.suffix_logsum[starts], n, q)
+    # looked up on the module, so that a test can replace the kernel
+    ks = powerlaw_module._ks(index, starts, alpha, z)
+    b = int(np.argmin(ks))
+    return PowerLawFit(int(q[b]), float(alpha[b]), int(n[b]), float(ks[b]),
+                       0.0, 0.0, float(ll[b]))
+
+
+@pytest.fixture()
+def span_solves(monkeypatch):
+    """Record the samples and fits of every span solve of the replicates."""
+    solves = []
+    real = powerlaw_module._fit_each
+
+    def recording(samples, min_tail, x_min):
+        samples = list(samples)
+        fits = real(iter(samples), min_tail, x_min)
+        solves.append((samples, min_tail, fits))
+        return fits
+
+    monkeypatch.setattr(powerlaw_module, "_fit_each", recording)
+    monkeypatch.setattr(gof_module, "_fit_each", recording)
+    return solves
+
+
+# (x_min, alpha, n) of the benchmark's two GoF workloads and of c05's draws
+SHAPES = {"tail_gof": (10, 2.5, 8000), "heavy_gof": (1, 1.5, 5000),
+          "c05": (1, 2.5, 2000)}
+
+
+class TestPrunedScan:
+    """The pruned, span-solved scan against the exhaustive one, bit for bit."""
+
+    def test_probe_bounds_the_ks_in_a_joined_index(self):
+        indexes = [_TailIndex(np.sort(sample_power_law(
+            DiscretePowerLaw(x_min, alpha), n, seed=3).counts))
+            for x_min, alpha, n in SHAPES.values()]
+        alone = []
+        for index in indexes:
+            # every tail of at least two values
+            starts = np.arange(index.values.size - 1)
+            alpha, _, z = _mle(index.suffix_logsum[starts],
+                               index.suffix_n[starts], index.values[starts])
+            alone.append([_ks(index, starts, alpha, z, probe=True),
+                          _ks(index, starts, alpha, z), alpha, z, starts])
+        joined = _TailIndex.join(indexes)
+        shift = np.cumsum([0] + [ix.values.size for ix in indexes[:-1]])
+        starts = np.concatenate([a[4] + s for a, s in zip(alone, shift)])
+        alpha, z = (np.concatenate([a[k] for a in alone]) for k in (2, 3))
+        bound = _ks(joined, starts, alpha, z, probe=True)
+        full = _ks(joined, starts, alpha, z)
+        assert_array_equal(bound, np.concatenate([a[0] for a in alone]))
+        assert_array_equal(full, np.concatenate([a[1] for a in alone]))
+        assert np.all(bound <= full)
+        short = joined.end[starts] - starts <= 2 * powerlaw_module._PROBE
+        assert_array_equal(bound[short], full[short])
+        assert np.sum(short) > 30 and np.sum(bound[~short] < full[~short]) > 30
+
+    @pytest.mark.parametrize("span_values", [None, 1 << 10])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_replicates_match_exhaustive(self, monkeypatch, span_solves,
+                                         shape, span_values):
+        if span_values is not None:
+            # several solves per span
+            monkeypatch.setattr(powerlaw_module, "_SPAN_VALUES", span_values)
+        x_min, alpha, n = SHAPES[shape]
+        sample = sample_power_law(DiscretePowerLaw(x_min, alpha), n, seed=17)
+        fit = fit_power_law(sample, bootstrap_reps=20, seed=5)
+        assert replace(fit, alpha_sd=0.0, x_min_sd=0.0) == _exhaustive_fit(
+            np.sort(sample.counts))
+        gof_test(sample, fit, n_sims=20, seed=6)
+        assert [len(s) for s, _, _ in span_solves] == [20, 20]
+        for samples, min_tail, fits in span_solves:
+            assert fits == [_exhaustive_fit(s, min_tail) for s in samples]
+
+    def test_replicates_without_a_tail_keep_their_place(self, span_solves,
+                                                        heavy_sample):
+        # with zeros in the sample, about half the replicates have fewer
+        # positive values than min_tail
+        counts = np.concatenate([heavy_sample.counts, np.zeros(500, int)])
+        sample = CitationSample(counts, label="zeros")
+        fit_power_law(sample, min_tail=5_000, bootstrap_reps=30, seed=1)
+        ((samples, min_tail, fits),) = span_solves
+        assert 5 < fits.count(None) < 25
+        assert fits == [_exhaustive_fit(s, min_tail) for s in samples]
+
+    def test_ties_go_to_the_first_candidate(self, monkeypatch, span_solves,
+                                            pl_tail_sample):
+        # KS rounded to 0.01 keeps the bound below the KS and makes ties
+        real = powerlaw_module._ks
+        monkeypatch.setattr(powerlaw_module, "_ks",
+                            lambda *a, **k: np.round(real(*a, **k), 2))
+        positive = np.sort(pl_tail_sample.counts)
+        index, starts, q = _scan_candidates(pl_tail_sample)
+        alpha, _, z = _mle(index.suffix_logsum[starts],
+                           index.suffix_n[starts], q)
+        ks = np.round(real(index, starts, alpha, z), 2)
+        assert np.sum(ks == ks.min()) >= 2
+        fit = fit_power_law(pl_tail_sample, bootstrap_reps=10, seed=2)
+        assert fit.x_min == q[np.argmin(ks)]
+        assert replace(fit, alpha_sd=0.0, x_min_sd=0.0) == _exhaustive_fit(
+            positive)
+        ((samples, min_tail, fits),) = span_solves
+        assert fits == [_exhaustive_fit(s, min_tail) for s in samples]
+
+    def test_two_value_tails_and_min_tail_edge(self, pl_tail_sample):
+        positive = np.sort(pl_tail_sample.counts)
+        best = _exhaustive_fit(positive)
+        samples = [np.array([3] * 30 + [4] * 20), positive,
+                   np.array([7, 7, 9]), np.array([5] * 9)]
+        second = []
+        for min_tail in (2, best.n_tail, best.n_tail + 1):
+            fits = powerlaw_module._fit_each(iter(samples), min_tail, None)
+            assert fits == [_exhaustive_fit(s, min_tail) for s in samples]
+            assert fits[-1] is None
+            second.append(fits[1])
+        # the winner's own tail size admits it; one more rules it out
+        assert second[1] == best and second[2] != best
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_chunks_equal_for_any_span(self, heavy_sample, fixed):
+        counts = heavy_sample.counts
+        fit = fit_power_law(heavy_sample, bootstrap_reps=0)
+        body = counts[counts < fit.x_min]
+        for chunk, args in (
+                (_gof_chunk, (body, fit.x_min, fit.alpha, counts.size, 3, 50)),
+                (_bootstrap_chunk,
+                 (counts, 3, 50, fit.x_min if fixed else None))):
+            whole = chunk((0, 12) + args)
+            alone = [x for r in range(12) for x in chunk((r, r + 1) + args)]
+            assert whole == alone
+
+
 class TestBootstrap:
     def test_sds_positive_and_plausible(self, pl_sample):
         fit = fit_power_law(pl_sample, x_min=1, bootstrap_reps=60, seed=4)
@@ -319,17 +467,26 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(powerlaw_module, "ProcessPoolExecutor", SerialPool)
+    # _replicates imports the pool class only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
+
+
+SPAN = powerlaw_module._SPAN_MIN
 
 
 class TestReplicates:
     @pytest.mark.parametrize("workers,total,cores,pool", [
-        (5000, 4, 64, 4),   # never more processes than replicates
-        (8, 40, 3, 3),      # nor than cores
-        (2, 1, 8, None),    # one replicate runs in process
+        (5000, 4, 64, None),       # never more processes than replicates
+        (5000, 4 * SPAN, 64, 4),   # nor than spans
+        (8, 40, 3, None),
+        (8, 40 * SPAN, 3, 3),      # nor than cores
+        (2, 1, 8, None),           # one replicate runs in process
+        (2, 2 * SPAN - 1, 8, None),  # so does a job smaller than two spans
+        (2, 2 * SPAN, 8, 2),
         (1, 10, 8, None),
         (3, 10, 1, None),
+        (3, 10 * SPAN, 1, None),
     ])
     def test_pool_size_is_bounded(self, monkeypatch, pool_sizes,
                                   workers, total, cores, pool):
@@ -345,7 +502,15 @@ class TestReplicates:
         wide = fit_power_law(pl_sample, x_min=1, bootstrap_reps=4, seed=2,
                              workers=5000)
         assert wide == serial
-        assert pool_sizes == [4]
+        assert pool_sizes == []
+
+    def test_started_pool_equals_serial(self, heavy_sample):
+        # two spans' worth of replicates on two workers start a real pool
+        fit = fit_power_law(heavy_sample, bootstrap_reps=0)
+        serial = gof_test(heavy_sample, fit, n_sims=2 * SPAN, seed=4)
+        pooled = gof_test(heavy_sample, fit, n_sims=2 * SPAN, seed=4,
+                          workers=2)
+        assert pooled == serial
 
 
 def _stream_digest(sample: CitationSample) -> str:
