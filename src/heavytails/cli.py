@@ -17,12 +17,35 @@ import sys
 from pathlib import Path
 
 from . import documents
-from ._constants import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL,
-                         DEFAULT_SIMS, FAMILIES, MODES)
+from ._constants import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_COLUMNS,
+                         DEFAULT_MIN_TAIL, DEFAULT_SIMS, FAMILIES, MODES)
 from ._version import __version__
 from .report import render
 
 __all__ = ["build_parser", "main", "entry"]
+
+# simulate family -> its parameter flags, in the order the model takes them
+# and the recorded command lists them
+_SIM_PARAMS = {
+    "powerlaw": ("alpha",),
+    "lognormal": ("mu", "sigma"),
+    "exponential": ("rate",),
+    "powerlaw_cutoff": ("alpha", "rate"),
+}
+
+# record field -> its ingest flag, --col-<flag>
+_COLUMN_FLAGS = {
+    "authors": "authors",
+    "journal": "journal",
+    "doc_type": "doctype",
+    "citations": "cited",
+    "year": "year",
+    "record_id": "id",
+}
+
+# option -> its smallest legal value, checked before any output
+_LEAST = {"threads": 1, "seed": 0, "bootstrap": 0, "min_tail": 0, "sims": 1,
+          "n": 1}
 
 
 def _q(value) -> str:
@@ -69,35 +92,38 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_fit, bootstrap=True, sims=True, xmin=True)
     p_fit.add_argument("--gof", action="store_true",
                        help="also run the goodness-of-fit test")
+    p_fit.set_defaults(run=_cmd_fit)
 
     p_gof = sub.add_parser("gof", help="goodness-of-fit test only")
     common(p_gof, sims=True, xmin=True)
+    p_gof.set_defaults(run=_cmd_fit, bootstrap=0, gof=True)
 
     p_cmp = sub.add_parser("compare",
                            help="likelihood-ratio tests against alternatives")
     common(p_cmp, xmin=True)
     p_cmp.add_argument("--alternatives", default=",".join(FAMILIES),
                        help="comma-separated families to test")
+    p_cmp.set_defaults(run=_cmd_compare)
 
     p_sca = sub.add_parser("scaling",
                            help="log-log scaling regression over subfields")
     common(p_sca)
     p_sca.add_argument("--mode", choices=MODES + ("all",), default="all")
+    p_sca.set_defaults(run=_cmd_scaling)
 
     p_sim = sub.add_parser("simulate", help="write a synthetic counts file")
-    p_sim.add_argument("--family", required=True,
-                       choices=("powerlaw",) + FAMILIES)
+    p_sim.add_argument("--family", required=True, choices=tuple(_SIM_PARAMS))
     p_sim.add_argument("--n", required=True, type=int)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--xmin", type=int, default=1)
-    p_sim.add_argument("--alpha", type=float)
-    p_sim.add_argument("--rate", type=float)
-    p_sim.add_argument("--mu", type=float)
-    p_sim.add_argument("--sigma", type=float)
+    for name in ("alpha", "rate", "mu", "sigma"):  # _SIM_PARAMS' flags
+        p_sim.add_argument(f"--{name}", type=float)
     p_sim.add_argument("--output", required=True, type=Path)
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_rep = sub.add_parser("report", help="render a result document")
     p_rep.add_argument("--input", required=True, type=Path)
+    p_rep.set_defaults(run=_cmd_report)
 
     p_ing = sub.add_parser("ingest",
                            help="parse a bibliographic export into samples "
@@ -109,31 +135,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--seed", type=int, default=0)
     p_ing.add_argument("--year-min", type=int)
     p_ing.add_argument("--year-max", type=int)
-    p_ing.add_argument("--col-authors", default="AU")
-    p_ing.add_argument("--col-journal", default="SO")
-    p_ing.add_argument("--col-doctype", default="DT")
-    p_ing.add_argument("--col-cited", default="TC")
-    p_ing.add_argument("--col-year", default="PY")
-    p_ing.add_argument("--col-id", default="UT")
+    for field, flag in _COLUMN_FLAGS.items():
+        p_ing.add_argument(f"--col-{flag}", default=DEFAULT_COLUMNS[field])
+    p_ing.set_defaults(run=_cmd_ingest)
     return parser
 
 
 def _resolve_sims(args) -> int:
-    if getattr(args, "sims", None) is not None:
-        if args.sims < 1:
-            raise ValueError("--sims must be at least 1")
+    if args.sims is not None:
         return args.sims
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         from .gof import required_sims
         return required_sims(args.epsilon)
     return DEFAULT_SIMS
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows, sep: str = ",") -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(sep.join(_cell(v) for v in row) + "\n")
 
 
 def _cell(value) -> str:
@@ -163,6 +184,8 @@ def _fit_like_command(args, n_sims=None) -> str:
 
 
 def _cmd_fit(args) -> None:
+    """`fit`, and `gof`, which is `fit --gof --bootstrap 0` writing only
+    gof.json: nothing at all when its test fails."""
     from .dataset import read_counts
     from .gof import gof_test
     from .powerlaw import ccdf_table, fit_power_law
@@ -176,14 +199,15 @@ def _cmd_fit(args) -> None:
                         workers=args.threads)
     command = _fit_like_command(args, n_sims)
     digest = documents.file_digest(args.input)
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    doc = documents.fit_document(fit, sample.label, command=command,
-                                 seed=args.seed, input_digest=digest,
-                                 min_tail=args.min_tail,
-                                 bootstrap_reps=args.bootstrap)
-    documents.write_document(doc, args.outdir / "fit.json")
-    _write_csv(args.outdir / "ccdf.csv", "x,ccdf_empirical,ccdf_model",
-               ccdf_table(sample, fit.model()))
+    if args.command == "fit":
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        doc = documents.fit_document(fit, sample.label, command=command,
+                                     seed=args.seed, input_digest=digest,
+                                     min_tail=args.min_tail,
+                                     bootstrap_reps=args.bootstrap)
+        documents.write_document(doc, args.outdir / "fit.json")
+        _write_csv(args.outdir / "ccdf.csv", "x,ccdf_empirical,ccdf_model",
+                   ccdf_table(sample, fit.model()))
     if args.gof:
         print(f"gof: {n_sims} simulations", file=sys.stderr)
         result = gof_test(sample, fit, n_sims, args.seed,
@@ -191,27 +215,8 @@ def _cmd_fit(args) -> None:
         gdoc = documents.gof_document(result, fit, sample.label,
                                       command=command, seed=args.seed,
                                       input_digest=digest)
+        args.outdir.mkdir(parents=True, exist_ok=True)
         documents.write_document(gdoc, args.outdir / "gof.json")
-
-
-def _cmd_gof(args) -> None:
-    from .dataset import read_counts
-    from .gof import gof_test
-    from .powerlaw import fit_power_law
-
-    sample = read_counts(args.input, label=args.label)
-    n_sims = _resolve_sims(args)
-    fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
-                        bootstrap_reps=0, seed=args.seed)
-    print(f"gof: {n_sims} simulations", file=sys.stderr)
-    result = gof_test(sample, fit, n_sims, args.seed, workers=args.threads,
-                      min_tail=args.min_tail)
-    command = _fit_like_command(args, n_sims)
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    doc = documents.gof_document(result, fit, sample.label, command=command,
-                                 seed=args.seed,
-                                 input_digest=documents.file_digest(args.input))
-    documents.write_document(doc, args.outdir / "gof.json")
 
 
 def _cmd_compare(args) -> None:
@@ -220,11 +225,12 @@ def _cmd_compare(args) -> None:
     from .powerlaw import fit_power_law
 
     sample = read_counts(args.input, label=args.label)
+    # compare_models rejects an unknown family, and nothing is written before
+    # it returns
     alternatives = tuple(a.strip() for a in args.alternatives.split(",")
                          if a.strip())
-    for family in alternatives:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family: {family!r}")
+    if not alternatives:
+        raise ValueError("--alternatives names no family")
     fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
                         bootstrap_reps=0, seed=args.seed)
     comparisons = compare_models(sample, fit, alternatives)
@@ -234,11 +240,9 @@ def _cmd_compare(args) -> None:
                                      command=command, seed=args.seed,
                                      input_digest=documents.file_digest(args.input))
     documents.write_document(doc, args.outdir / "compare.json")
-    with open(args.outdir / "comparison.tsv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("alternative\tlr\tp\tverdict\n")
-        for c in comparisons:
-            fh.write(f"{c.alternative}\t{c.lr!r}\t{c.p!r}\t{c.verdict}\n")
+    _write_csv(args.outdir / "comparison.tsv", "alternative\tlr\tp\tverdict",
+               ((c.alternative, c.lr, c.p, c.verdict) for c in comparisons),
+               sep="\t")
 
 
 def _cmd_scaling(args) -> None:
@@ -272,41 +276,23 @@ def _cmd_scaling(args) -> None:
 def _cmd_simulate(args) -> None:
     from .dataset import write_counts
 
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
-
-    def need(**params):
-        missing = [f"--{name}" for name, v in params.items() if v is None]
-        if missing:
-            raise ValueError(f"family {args.family} requires "
-                             + ", ".join(missing))
-
-    command_parts = ["simulate", "--family", args.family,
-                     "--xmin", str(args.xmin)]
+    names = _SIM_PARAMS[args.family]
+    params = tuple(getattr(args, name) for name in names)
+    missing = [f"--{name}" for name, v in zip(names, params) if v is None]
+    if missing:
+        raise ValueError(f"family {args.family} requires {', '.join(missing)}")
     if args.family == "powerlaw":
         from .powerlaw import DiscretePowerLaw, sample_power_law
-        need(alpha=args.alpha)
-        model = DiscretePowerLaw(args.xmin, args.alpha)
-        command_parts += ["--alpha", repr(args.alpha)]
-        sample = sample_power_law(model, args.n, args.seed)
+        sample = sample_power_law(DiscretePowerLaw(args.xmin, *params),
+                                  args.n, args.seed)
     else:
         from .altmodels import AltFit, sample_alternative
-        if args.family == "exponential":
-            need(rate=args.rate)
-            params = (args.rate,)
-            command_parts += ["--rate", repr(args.rate)]
-        elif args.family == "lognormal":
-            need(mu=args.mu, sigma=args.sigma)
-            params = (args.mu, args.sigma)
-            command_parts += ["--mu", repr(args.mu), "--sigma",
-                              repr(args.sigma)]
-        else:
-            need(alpha=args.alpha, rate=args.rate)
-            params = (args.alpha, args.rate)
-            command_parts += ["--alpha", repr(args.alpha),
-                              "--rate", repr(args.rate)]
         fit = AltFit(args.family, params, args.xmin, 0.0)
         sample = sample_alternative(fit, args.n, args.seed)
+    command_parts = ["simulate", "--family", args.family,
+                     "--xmin", str(args.xmin)]
+    for name, value in zip(names, params):
+        command_parts += [f"--{name}", repr(value)]
     command_parts += ["--n", str(args.n), "--seed", str(args.seed),
                       "--output", _q(args.output)]
     header = [f"heavytails {__version__}",
@@ -319,20 +305,14 @@ def _cmd_simulate(args) -> None:
 def _cmd_ingest(args) -> None:
     from .dataset import write_aggregates, write_counts
     from .ingest import (build_aggregates, filter_years, mode_samples,
-                         normalize_journal, parse_export, read_classification)
+                         parse_export, read_classification)
 
     if (args.year_min is not None and args.year_max is not None
             and args.year_min > args.year_max):
         raise ValueError(f"--year-min {args.year_min} is after "
                          f"--year-max {args.year_max}")
-    columns = {
-        "authors": args.col_authors,
-        "journal": args.col_journal,
-        "doc_type": args.col_doctype,
-        "citations": args.col_cited,
-        "year": args.col_year,
-        "record_id": args.col_id,
-    }
+    columns = {field: getattr(args, f"col_{flag}")
+               for field, flag in _COLUMN_FLAGS.items()}
     with open(args.input, "r", encoding="utf-8-sig", newline=None) as fh:
         parsed = parse_export(fh, columns)
     records = filter_years(parsed.records, args.year_min, args.year_max)
@@ -347,17 +327,16 @@ def _cmd_ingest(args) -> None:
         classification = read_classification(fh)
     aggregates, unmapped = build_aggregates(records, classification, rows)
     rejections = sorted(list(parsed.rejections) + list(unmapped))
-    # counts samples cover the same corpus as the aggregates: mapped journals
-    mapped = [rec for rec in records
-              if normalize_journal(rec.journal) in classification]
+    # counts samples cover the same corpus as the aggregates: mapped journals.
+    # Source rows are unique, so a row names the one record it came from.
+    unmapped_rows = {row for row, _ in unmapped}
+    mapped = [rec for rec, row in zip(records, rows)
+              if row not in unmapped_rows]
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     write_aggregates(args.outdir / "aggregates.tsv", aggregates)
-    with open(args.outdir / "rejections.tsv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("row\treason\n")
-        for row, reason in rejections:
-            fh.write(f"{row}\t{reason}\n")
+    _write_csv(args.outdir / "rejections.tsv", "row\treason", rejections,
+               sep="\t")
     samples = mode_samples(mapped)
     command = ["ingest", "--input", _q(args.input), "--map", _q(args.map),
                "--outdir", _q(args.outdir)]
@@ -386,24 +365,16 @@ def _cmd_report(args) -> None:
     print(render(doc))
 
 
-_RUNNERS = {
-    "fit": _cmd_fit,
-    "gof": _cmd_gof,
-    "compare": _cmd_compare,
-    "scaling": _cmd_scaling,
-    "simulate": _cmd_simulate,
-    "ingest": _cmd_ingest,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError("--threads must be at least 1")
-        _RUNNERS[args.command](args)
+        for name, least in _LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at "
+                                 f"least {least}")
+        args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

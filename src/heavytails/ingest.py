@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._constants import DEFAULT_COLUMNS
 from .dataset import CitationSample, SubfieldAggregate, _parse_int
 
 __all__ = [
@@ -32,15 +33,6 @@ __all__ = [
 
 DOC_TYPES = frozenset({"Article", "Review", "Letter", "Note",
                        "Proceedings Paper"})
-
-DEFAULT_COLUMNS: Mapping[str, str] = {
-    "authors": "AU",
-    "journal": "SO",
-    "doc_type": "DT",
-    "citations": "TC",
-    "year": "PY",
-    "record_id": "UT",
-}
 
 
 @dataclass(frozen=True, slots=True)

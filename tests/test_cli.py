@@ -30,6 +30,17 @@ def counts_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def aggregates_file(tmp_path):
+    aggs = [SubfieldAggregate(f"sub{k}", "f", 4**k, 3 * 4**k // 4,
+                              4**k - 3 * 4**k // 4, 3 * 8**k,
+                              2 * 8**k, 8**k)
+            for k in range(1, 7)]
+    path = tmp_path / "aggregates.tsv"
+    write_aggregates(path, aggs)
+    return path
+
+
 class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -47,6 +58,36 @@ class TestParser:
             run("gof", "--input", tmp_path / "x", "--sims", 10,
                 "--epsilon", 0.1)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--bootstrap", -3], "--bootstrap must be at least 0"),
+        (["fit", "--min-tail", -5], "--min-tail must be at least 0"),
+        (["fit", "--bootstrap", 0, "--seed", -1], "--seed must be at least 0"),
+        (["fit", "--gof", "--bootstrap", 0, "--seed", -1, "--sims", 5],
+         "--seed must be at least 0"),
+        (["compare", "--seed", -2], "--seed must be at least 0"),
+        (["compare", "--alternatives", ","], "--alternatives names no family"),
+        (["scaling", "--seed", -3], "--seed must be at least 0"),
+        (["ingest", "--map", "map.csv", "--seed", -3],
+         "--seed must be at least 0"),
+    ], ids=["bootstrap", "min-tail", "fit-seed", "fit-gof-seed",
+            "compare-seed", "no-family", "scaling-seed", "ingest-seed"])
+    def test_out_of_range_option_writes_nothing(self, counts_file, tmp_path,
+                                                capsys, argv, message):
+        out = tmp_path / "out"
+        command, *rest = argv
+        assert run(command, "--input", counts_file, "--outdir", out,
+                   *rest) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_zero_stays_legal(self, counts_file, tmp_path):
+        out = tmp_path / "out"
+        assert run("fit", "--input", counts_file, "--outdir", out,
+                   "--bootstrap", 0, "--min-tail", 0, "--seed", 0) == 0
+        doc = json.loads((out / "fit.json").read_text())
+        validate_document(doc)
+        assert doc["bootstrap_reps"] == 0
 
 
 class TestSimulate:
@@ -81,12 +122,41 @@ class TestSimulate:
             "error: sampled value exceeds the integer range")
         assert not path.exists()
 
-    def test_missing_param_rejected(self, tmp_path, capsys):
-        code = run("simulate", "--family", "lognormal", "--n", 10,
-                   "--mu", 1.0, "--output", tmp_path / "x.txt")
+    @pytest.mark.parametrize("family, given, missing", [
+        ("powerlaw", [], "--alpha"),
+        ("lognormal", ["--mu", 1.0], "--sigma"),
+        ("exponential", ["--alpha", 2.0], "--rate"),
+        ("powerlaw_cutoff", [], "--alpha, --rate"),
+    ], ids=["powerlaw", "lognormal", "exponential", "powerlaw_cutoff"])
+    def test_missing_param_rejected(self, tmp_path, capsys, family, given,
+                                    missing):
+        path = tmp_path / "x.txt"
+        code = run("simulate", "--family", family, "--n", 10, *given,
+                   "--output", path)
         assert code == 1
-        assert "error: family lognormal requires --sigma" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: family {family} requires {missing}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("params, command", [
+        (["--family", "powerlaw", "--alpha", 2.5],
+         "simulate --family powerlaw --xmin 2 --alpha 2.5"),
+        (["--family", "lognormal", "--sigma", 1.5, "--mu", 1],
+         "simulate --family lognormal --xmin 2 --mu 1.0 --sigma 1.5"),
+        (["--family", "exponential", "--rate", 0.25, "--alpha", 9],
+         "simulate --family exponential --xmin 2 --rate 0.25"),
+        (["--family", "powerlaw_cutoff", "--rate", 0.01, "--alpha", 1.8],
+         "simulate --family powerlaw_cutoff --xmin 2 --alpha 1.8 --rate 0.01"),
+    ], ids=["powerlaw", "lognormal", "exponential", "powerlaw_cutoff"])
+    def test_recorded_command(self, tmp_path, monkeypatch, params, command):
+        # each family records its own flags, in model order, as floats
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", *params, "--xmin", 2, "--n", 3000,
+                   "--seed", 4, "--output", "x.txt") == 0
+        assert (tmp_path / "x.txt").read_text().splitlines()[:3] == [
+            f"# heavytails {__version__}",
+            f"# command: {command} --n 3000 --seed 4 --output x.txt",
+            "# seed: 4"]
 
 
 class TestFit:
@@ -185,6 +255,37 @@ class TestGofCommand:
         assert code == 1
         assert "--sims must be at least 1" in capsys.readouterr().err
 
+    def test_same_test_as_fit_gof(self, counts_file, tmp_path):
+        alone, with_fit = tmp_path / "gof", tmp_path / "fit"
+        assert run("gof", "--input", counts_file, "--outdir", alone,
+                   "--sims", 20, "--seed", 3) == 0
+        assert run("fit", "--input", counts_file, "--outdir", with_fit,
+                   "--gof", "--bootstrap", 0, "--sims", 20, "--seed", 3) == 0
+        assert sorted(p.name for p in alone.iterdir()) == ["gof.json"]
+        doc = json.loads((alone / "gof.json").read_text())
+        other = json.loads((with_fit / "gof.json").read_text())
+        assert doc.pop("command").startswith("gof ")
+        assert other.pop("command").startswith("fit ")
+        assert doc == other
+
+    def test_failed_test_writes_no_gof_output(self, tmp_path, capsys):
+        data = tmp_path / "heavy.txt"
+        assert run("simulate", "--family", "powerlaw", "--alpha", 1.2,
+                   "--n", 3000, "--seed", 1, "--output", data) == 0
+        alone, with_fit = tmp_path / "gof", tmp_path / "fit"
+        assert run("gof", "--input", data, "--outdir", alone,
+                   "--sims", 20) == 1
+        assert not alone.exists()
+        assert run("fit", "--input", data, "--outdir", with_fit, "--gof",
+                   "--bootstrap", 0, "--sims", 20) == 1
+        # fit's own outputs are written before its GoF test runs
+        assert sorted(p.name for p in with_fit.iterdir()) == [
+            "ccdf.csv", "fit.json"]
+        err = capsys.readouterr().err.splitlines()
+        assert err[1] == err[3] == ("error: sampled value exceeds the integer "
+                                    "range; the tail is too heavy for exact "
+                                    "inversion")
+
 
 class TestCompareCommand:
     def test_exponential_data_verdict(self, tmp_path):
@@ -213,16 +314,6 @@ class TestCompareCommand:
 
 
 class TestScalingCommand:
-    @pytest.fixture()
-    def aggregates_file(self, tmp_path):
-        aggs = [SubfieldAggregate(f"sub{k}", "f", 4**k, 3 * 4**k // 4,
-                                  4**k - 3 * 4**k // 4, 3 * 8**k,
-                                  2 * 8**k, 8**k)
-                for k in range(1, 7)]
-        path = tmp_path / "aggregates.tsv"
-        write_aggregates(path, aggs)
-        return path
-
     def test_all_modes(self, aggregates_file, tmp_path):
         out = tmp_path / "out"
         assert run("scaling", "--input", aggregates_file,
@@ -331,13 +422,24 @@ class TestIngestCommand:
 
     def test_custom_columns(self, tmp_path, map_file):
         path = tmp_path / "odd.tsv"
-        path.write_text("who\tSO\tDT\tTC\tPY\tUT\n"
-                        "Solo, S\tPhysics World\tArticle\t9\t2010\tX1\n")
+        path.write_text("id\twho\tyear\tkind\tcites\twhere\n"
+                        "X1\tSolo, S\t2010\tArticle\t9\tPhysics World\n"
+                        "X2\tA, A; B, B\t2011\tReview\t4\tPhysics World\n")
         out = tmp_path / "out"
         assert run("ingest", "--input", path, "--map", map_file,
-                   "--outdir", out, "--col-authors", "who") == 0
+                   "--outdir", out, "--col-authors", "who",
+                   "--col-journal", "where", "--col-doctype", "kind",
+                   "--col-cited", "cites", "--col-year", "year",
+                   "--col-id", "id") == 0
         doc = json.loads((out / "ingest.json").read_text())
-        assert doc["n_records"] == 1
+        assert doc["n_records"] == 2
+        assert doc["mode_counts"] == {"overall": 2, "collaboration": 1,
+                                      "single": 1}
+        assert read_counts(out / "counts_overall.txt").counts.tolist() == [
+            4, 9]
+        # each renamed column needs its flag
+        assert run("ingest", "--input", path, "--map", map_file,
+                   "--outdir", tmp_path / "bad", "--col-authors", "who") == 1
 
 
 class TestReportCommand:
@@ -435,7 +537,7 @@ class TestImports:
         assert fresh_python(probe).strip() == "[]"
 
     @pytest.fixture()
-    def workdir(self, tmp_path, counts_file, export_lines,
+    def workdir(self, tmp_path, counts_file, aggregates_file, export_lines,
                 classification_lines):
         (tmp_path / "counts.txt").write_bytes(counts_file.read_bytes())
         (tmp_path / "export.tsv").write_text("".join(export_lines))
@@ -449,6 +551,9 @@ class TestImports:
         (["report", "--input", "doc/fit.json"], []),
         (["simulate", "--family", "powerlaw", "--n", 100, "--alpha", 2.5,
           "--output", "sim.txt"], ["numpy"]),
+        (["simulate", "--family", "lognormal", "--n", 100, "--mu", 1.0,
+          "--sigma", 1.5, "--output", "sim.txt"],
+         ["numpy", "scipy", "concurrent.futures"]),
         (["fit", "--input", "counts.txt", "--outdir", "out", "--bootstrap",
           5, "--gof", "--sims", 5], ["numpy"]),
         # a job this small starts no process pool
@@ -461,8 +566,10 @@ class TestImports:
         # scipy.special imports concurrent.futures itself
         (["compare", "--input", "counts.txt", "--outdir", "out"],
          ["numpy", "scipy", "concurrent.futures"]),
-    ], ids=["version", "report", "simulate", "fit", "fit-threads", "gof",
-            "ingest", "compare"])
+        (["scaling", "--input", "aggregates.tsv", "--outdir", "out"],
+         ["numpy", "scipy", "concurrent.futures"]),
+    ], ids=["version", "report", "simulate", "simulate-lognormal", "fit",
+            "fit-threads", "gof", "ingest", "compare", "scaling"])
     def test_command_imports_only_what_it_runs(self, workdir, argv, loaded):
         out = fresh_python(COMMAND_PROBE, *argv, cwd=workdir)
         assert json.loads(out.splitlines()[-1]) == [0, loaded]

@@ -102,8 +102,9 @@ class TestParseExport:
         assert again == records
 
     def test_default_columns_are_export_convention(self):
-        assert DEFAULT_COLUMNS["citations"] == "TC"
-        assert DEFAULT_COLUMNS["record_id"] == "UT"
+        assert DEFAULT_COLUMNS == {"authors": "AU", "journal": "SO",
+                                   "doc_type": "DT", "citations": "TC",
+                                   "year": "PY", "record_id": "UT"}
         assert "Article" in DOC_TYPES and "Editorial" not in DOC_TYPES
 
 
