@@ -152,10 +152,11 @@ def _em_tail(alpha: float, rate: float, big_x: int, q: int):
 
 
 def _cutoff_moments(alpha: float, rate: float, q: int):
-    """log Z, and the mean (less (log q, q)) and covariance of (log x, x)
-    under the cutoff pmf with rate > 0: 64 terms summed directly, the rest
-    by Euler-Maclaurin, whose remainder bounds stay below 1e-15 of each sum
-    for alpha in [-5, 30] (large rates only where e^(-64 rate) is nil)."""
+    """log Z, Z = sum_{x>=q} x^(-alpha) e^(-rate x), and the mean (less
+    (log q, q)) and covariance of (log x, x) under the cutoff pmf with
+    rate > 0: 64 terms summed directly, the rest by Euler-Maclaurin, whose
+    remainder bounds stay below 1e-15 of each sum for alpha in [-5, 30]
+    (large rates only where e^(-64 rate) is nil)."""
     xs = np.arange(q, q + 64, dtype=np.float64)
     lf = -alpha * np.log(xs) - rate * xs
     head_shift = float(np.max(lf))
@@ -170,20 +171,6 @@ def _cutoff_moments(alpha: float, rate: float, q: int):
     e = sums[1:] / sums[0]
     cov = np.array([[e[2], e[3]], [e[3], e[4]]]) - np.outer(e[:2], e[:2])
     return shift + float(np.log(sums[0])), e[:2], cov
-
-
-def _cutoff_log_z(alpha: float, rate: float, q: int) -> float:
-    """log of Z = sum_{x>=q} x^(-alpha) e^(-rate x), to relative 1e-13."""
-    if rate == 0.0:
-        if alpha <= 1.0:
-            return np.inf  # divergent; caller treats as invalid
-        return float(np.log(_zeta(alpha, q)[0]))
-    return _cutoff_moments(alpha, rate, q)[0]
-
-
-def _cutoff_logpmf(x: np.ndarray, alpha: float, rate: float, q: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return -alpha * np.log(x) - rate * x - _cutoff_log_z(alpha, rate, q)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import documents
-from ._constants import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_COLUMNS,
-                         DEFAULT_MIN_TAIL, DEFAULT_SIMS, FAMILIES, MODES)
+from ._constants import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL,
+                         DEFAULT_SIMS, FAMILIES, MODES)
 from ._version import __version__
 from .report import render
 
@@ -43,13 +43,38 @@ _COLUMN_FLAGS = {
     "record_id": "id",
 }
 
+# command -> the options its recorded command lists, in this order.
+# --threads is deliberately left out: it cannot change results, and
+# documents must be byte-identical across worker counts.  --epsilon is
+# recorded as the --sims count it resolves to.
+_RECORDED = {
+    "fit": ("input", "outdir", "label", "xmin", "min_tail", "bootstrap",
+            "seed", "gof", "sims"),
+    "gof": ("input", "outdir", "label", "xmin", "min_tail", "seed", "sims"),
+    "compare": ("input", "outdir", "label", "xmin", "min_tail", "seed",
+                "alternatives"),
+    "scaling": ("input", "outdir", "mode", "seed"),
+    "ingest": ("input", "map", "outdir", "year_min", "year_max", "seed",
+               *(f"col_{flag}" for flag in _COLUMN_FLAGS.values())),
+}
+
 # option -> its smallest legal value, checked before any output
 _LEAST = {"threads": 1, "seed": 0, "bootstrap": 0, "min_tail": 0, "sims": 1,
           "n": 1}
 
 
-def _q(value) -> str:
-    return shlex.quote(str(value))
+def _recorded(args, names) -> str:
+    """The command line that reruns ``args``: each named option that is
+    set, in the given order, a true switch as a bare flag."""
+    parts = [args.command]
+    for name in names:
+        value = getattr(args, name)
+        if value is None or value is False:
+            continue
+        parts.append(f"--{name.replace('_', '-')}")
+        if value is not True:
+            parts.append(shlex.quote(str(value)))
+    return " ".join(parts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--year-min", type=int)
     p_ing.add_argument("--year-max", type=int)
     for field, flag in _COLUMN_FLAGS.items():
-        p_ing.add_argument(f"--col-{flag}", default=DEFAULT_COLUMNS[field])
+        p_ing.add_argument(f"--col-{flag}")
     p_ing.set_defaults(run=_cmd_ingest)
     return parser
 
@@ -161,28 +186,6 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-# --threads is deliberately left out of recorded command lines: it cannot
-# change results, and documents must be byte-identical across worker counts
-def _fit_like_command(args, n_sims=None) -> str:
-    parts = [args.command, "--input", _q(args.input), "--outdir",
-             _q(args.outdir)]
-    if args.label:
-        parts += ["--label", _q(args.label)]
-    if args.xmin is not None:
-        parts += ["--xmin", str(args.xmin)]
-    parts += ["--min-tail", str(args.min_tail)]
-    if args.command == "fit":
-        parts += ["--bootstrap", str(args.bootstrap)]
-    parts += ["--seed", str(args.seed)]
-    if args.command == "compare":
-        parts += ["--alternatives", args.alternatives]
-    if n_sims is not None:
-        if args.command == "fit":
-            parts.append("--gof")
-        parts += ["--sims", str(n_sims)]
-    return " ".join(parts)
-
-
 def _cmd_fit(args) -> None:
     """`fit`, and `gof`, which is `fit --gof --bootstrap 0` writing only
     gof.json: nothing at all when its test fails."""
@@ -191,13 +194,13 @@ def _cmd_fit(args) -> None:
     from .powerlaw import ccdf_table, fit_power_law
 
     sample = read_counts(args.input, label=args.label)
-    n_sims = _resolve_sims(args) if args.gof else None
+    args.sims = _resolve_sims(args) if args.gof else None
     if args.bootstrap > 0:
         print(f"bootstrap: {args.bootstrap} replicates", file=sys.stderr)
     fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
                         bootstrap_reps=args.bootstrap, seed=args.seed,
                         workers=args.threads)
-    command = _fit_like_command(args, n_sims)
+    command = _recorded(args, _RECORDED[args.command])
     digest = documents.file_digest(args.input)
     if args.command == "fit":
         args.outdir.mkdir(parents=True, exist_ok=True)
@@ -209,8 +212,8 @@ def _cmd_fit(args) -> None:
         _write_csv(args.outdir / "ccdf.csv", "x,ccdf_empirical,ccdf_model",
                    ccdf_table(sample, fit.model()))
     if args.gof:
-        print(f"gof: {n_sims} simulations", file=sys.stderr)
-        result = gof_test(sample, fit, n_sims, args.seed,
+        print(f"gof: {args.sims} simulations", file=sys.stderr)
+        result = gof_test(sample, fit, args.sims, args.seed,
                           workers=args.threads, min_tail=args.min_tail)
         gdoc = documents.gof_document(result, fit, sample.label,
                                       command=command, seed=args.seed,
@@ -234,7 +237,7 @@ def _cmd_compare(args) -> None:
     fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
                         bootstrap_reps=0, seed=args.seed)
     comparisons = compare_models(sample, fit, alternatives)
-    command = _fit_like_command(args)
+    command = _recorded(args, _RECORDED["compare"])
     args.outdir.mkdir(parents=True, exist_ok=True)
     doc = documents.compare_document(comparisons, fit, sample.label,
                                      command=command, seed=args.seed,
@@ -261,9 +264,7 @@ def _cmd_scaling(args) -> None:
             raise ValueError(f"mode {mode}: {exc}") from None
         results[mode] = (fit, excluded)
         tables[mode] = scatter_table(points, fit)
-    command = " ".join(["scaling", "--input", _q(args.input), "--outdir",
-                        _q(args.outdir), "--mode", args.mode,
-                        "--seed", str(args.seed)])
+    command = _recorded(args, _RECORDED["scaling"])
     args.outdir.mkdir(parents=True, exist_ok=True)
     doc = documents.scaling_document(results, command=command, seed=args.seed,
                                      input_digest=documents.file_digest(args.input))
@@ -289,14 +290,9 @@ def _cmd_simulate(args) -> None:
         from .altmodels import AltFit, sample_alternative
         fit = AltFit(args.family, params, args.xmin, 0.0)
         sample = sample_alternative(fit, args.n, args.seed)
-    command_parts = ["simulate", "--family", args.family,
-                     "--xmin", str(args.xmin)]
-    for name, value in zip(names, params):
-        command_parts += [f"--{name}", repr(value)]
-    command_parts += ["--n", str(args.n), "--seed", str(args.seed),
-                      "--output", _q(args.output)]
-    header = [f"heavytails {__version__}",
-              f"command: {' '.join(command_parts)}",
+    command = _recorded(args, ("family", "xmin", *names, "n", "seed",
+                               "output"))
+    header = [f"heavytails {__version__}", f"command: {command}",
               f"seed: {args.seed}"]
     args.output.parent.mkdir(parents=True, exist_ok=True)
     write_counts(args.output, sample.counts, header)
@@ -311,8 +307,10 @@ def _cmd_ingest(args) -> None:
             and args.year_min > args.year_max):
         raise ValueError(f"--year-min {args.year_min} is after "
                          f"--year-max {args.year_max}")
-    columns = {field: getattr(args, f"col_{flag}")
-               for field, flag in _COLUMN_FLAGS.items()}
+    # parse_export reads a field whose flag is not given from its
+    # DEFAULT_COLUMNS column
+    columns = {field: column for field, flag in _COLUMN_FLAGS.items()
+               if (column := getattr(args, f"col_{flag}")) is not None}
     with open(args.input, "r", encoding="utf-8-sig", newline=None) as fh:
         parsed = parse_export(fh, columns)
     records = filter_years(parsed.records, args.year_min, args.year_max)
@@ -338,20 +336,13 @@ def _cmd_ingest(args) -> None:
     _write_csv(args.outdir / "rejections.tsv", "row\treason", rejections,
                sep="\t")
     samples = mode_samples(mapped)
-    command = ["ingest", "--input", _q(args.input), "--map", _q(args.map),
-               "--outdir", _q(args.outdir)]
-    if args.year_min is not None:
-        command += ["--year-min", str(args.year_min)]
-    if args.year_max is not None:
-        command += ["--year-max", str(args.year_max)]
-    command += ["--seed", str(args.seed)]
-    command_str = " ".join(command)
+    command = _recorded(args, _RECORDED["ingest"])
     for mode, sample in samples.items():
         write_counts(args.outdir / f"counts_{mode}.txt", sample.counts,
-                     [f"heavytails {__version__}", f"command: {command_str}",
+                     [f"heavytails {__version__}", f"command: {command}",
                       f"mode: {mode}"])
     doc = documents.ingest_document(
-        command=command_str, seed=args.seed,
+        command=command, seed=args.seed,
         input_digest=documents.file_digest(args.input),
         map_digest=documents.file_digest(args.map),
         n_records=len(mapped), n_rejections=len(rejections),

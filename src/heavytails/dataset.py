@@ -9,7 +9,7 @@ scaling regressions consume.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -114,10 +114,9 @@ class SubfieldAggregate:
     citations_single: int
 
     def __post_init__(self):
-        for name in ("papers_total", "papers_collab", "papers_single",
-                     "citations_total", "citations_collab", "citations_single"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for field in fields(self)[2:]:
+            if getattr(self, field.name) < 0:
+                raise ValueError(f"{field.name} must be nonnegative")
         if self.papers_total != self.papers_collab + self.papers_single:
             raise ValueError("papers_total must equal papers_collab + papers_single")
         if self.citations_total != self.citations_collab + self.citations_single:
@@ -234,14 +233,15 @@ def read_aggregates(path: str | Path) -> list[SubfieldAggregate]:
     """Read the tab-separated subfield aggregate table."""
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline=None) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(lineno, ln.rstrip("\n"))
+                 for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty aggregate table")
-    header = tuple(lines[0].split("\t"))
+    header = tuple(lines[0][1].split("\t"))
     if header != AGGREGATE_COLUMNS:
         raise ValueError(f"bad aggregate header: expected {list(AGGREGATE_COLUMNS)}, got {list(header)}")
     out = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != len(AGGREGATE_COLUMNS):
             raise ValueError(f"{path.name}:{lineno}: expected {len(AGGREGATE_COLUMNS)} columns")
@@ -249,7 +249,10 @@ def read_aggregates(path: str | Path) -> list[SubfieldAggregate]:
             numbers = [_parse_int(p) for p in parts[2:]]
         except ValueError:
             raise ValueError(f"{path.name}:{lineno}: non-integer aggregate value") from None
-        out.append(SubfieldAggregate(parts[0], parts[1], *numbers))
+        try:
+            out.append(SubfieldAggregate(parts[0], parts[1], *numbers))
+        except ValueError as exc:
+            raise ValueError(f"{path.name}:{lineno}: {exc}") from None
     return out
 
 
@@ -257,7 +260,4 @@ def write_aggregates(path: str | Path, aggregates: Iterable[SubfieldAggregate]) 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(AGGREGATE_COLUMNS) + "\n")
         for agg in aggregates:
-            fh.write("\t".join(str(v) for v in (
-                agg.subfield_id, agg.field_id,
-                agg.papers_total, agg.papers_collab, agg.papers_single,
-                agg.citations_total, agg.citations_collab, agg.citations_single)) + "\n")
+            fh.write("\t".join(str(v) for v in astuple(agg)) + "\n")

@@ -62,38 +62,34 @@ def _num(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _fields(result, *names) -> dict:
+    """The named fields of a result dataclass (all of them by default),
+    each non-finite float as None."""
+    # imported here: at module level it would also load inspect, which
+    # `report` and `--version` do not need
+    from dataclasses import fields
+
+    out = {}
+    for name in names or [f.name for f in fields(result)]:
+        value = getattr(result, name)
+        out[name] = _num(value) if isinstance(value, float) else value
+    return out
+
+
 def fit_document(fit: PowerLawFit, label: str, *, command: str, seed: int,
                  input_digest: str, min_tail: int,
                  bootstrap_reps: int) -> dict:
     doc = _envelope("fit", command, seed, input_digest)
-    doc.update({
-        "label": label,
-        "x_min": fit.x_min,
-        "x_min_sd": _num(fit.x_min_sd),
-        "alpha": _num(fit.alpha),
-        "alpha_sd": _num(fit.alpha_sd),
-        "n_tail": fit.n_tail,
-        "ks": _num(fit.ks),
-        "log_likelihood": _num(fit.log_likelihood),
-        "min_tail": int(min_tail),
-        "bootstrap_reps": int(bootstrap_reps),
-    })
+    doc.update(_fields(fit), label=label, min_tail=int(min_tail),
+               bootstrap_reps=int(bootstrap_reps))
     return doc
 
 
 def gof_document(result: GofResult, fit: PowerLawFit, label: str, *,
                  command: str, seed: int, input_digest: str) -> dict:
     doc = _envelope("gof", command, seed, input_digest)
-    doc.update({
-        "label": label,
-        "x_min": fit.x_min,
-        "alpha": _num(fit.alpha),
-        "ks_empirical": _num(result.ks_empirical),
-        "n_sims": result.n_sims,
-        "n_exceeding": result.n_exceeding,
-        "p_value": _num(result.p_value),
-        "ruled_out": result.ruled_out,
-    })
+    doc.update(_fields(fit, "x_min", "alpha"), label=label)
+    doc.update(_fields(result))
     return doc
 
 
@@ -101,20 +97,8 @@ def compare_document(comparisons: Iterable[ModelComparison],
                      fit: PowerLawFit, label: str, *, command: str, seed: int,
                      input_digest: str) -> dict:
     doc = _envelope("compare", command, seed, input_digest)
-    doc.update({
-        "label": label,
-        "x_min": fit.x_min,
-        "alpha": _num(fit.alpha),
-        "log_likelihood": _num(fit.log_likelihood),
-        "comparisons": [{
-            "alternative": c.alternative,
-            "lr": _num(c.lr),
-            "z": None if c.z is None else _num(c.z),
-            "p": _num(c.p),
-            "verdict": c.verdict,
-            "note": c.note,
-        } for c in comparisons],
-    })
+    doc.update(_fields(fit, "x_min", "alpha", "log_likelihood"), label=label,
+               comparisons=[_fields(c) for c in comparisons])
     return doc
 
 
@@ -123,22 +107,13 @@ def scaling_document(results: Mapping[str, tuple[ScalingFit, list[tuple[str, str
     from .scaling import matthew_factor  # loaded by whoever built ``results``
 
     doc = _envelope("scaling", command, seed, input_digest)
-    doc["modes"] = {
-        mode: {
-            "exponent": _num(fit.exponent),
-            "exponent_se": _num(fit.exponent_se),
-            "intercept_log10": _num(fit.intercept_log),
-            "k": _num(fit.k),
-            "r2": _num(fit.r2),
-            "t_stat": _num(fit.t_stat),
-            "p_value": _num(fit.p_value),
-            "df": fit.df,
-            "n_points": fit.n_points,
-            "matthew_factor": _num(matthew_factor(fit.exponent)),
-            "excluded": [{"subfield": s, "reason": r} for s, r in excluded],
-        }
-        for mode, (fit, excluded) in results.items()
-    }
+    doc["modes"] = {}
+    for mode, (fit, excluded) in results.items():
+        entry = doc["modes"][mode] = _fields(fit)
+        entry["intercept_log10"] = entry.pop("intercept_log")
+        entry["matthew_factor"] = _num(matthew_factor(fit.exponent))
+        entry["excluded"] = [{"subfield": s, "reason": r}
+                             for s, r in excluded]
     return doc
 
 

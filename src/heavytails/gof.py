@@ -39,10 +39,15 @@ class GofResult:
 
 
 def required_sims(epsilon: float) -> int:
-    """Simulations needed for p-value precision epsilon: ceil(1/(4 eps^2))."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return math.ceil(1.0 / (4.0 * epsilon * epsilon))
+    """Simulations needed for p-value precision epsilon: ceil(1/(4 eps^2)).
+
+    epsilon must be finite and at least 0.001 (250,000 simulations, 100
+    times the default): a finer one would run for days."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.001):
+        raise ValueError("epsilon must be finite and at least 0.001 "
+                         "(250000 simulations); use --sims for a larger run")
+    # past eps ~ 1e154 the quotient underflows to 0; the count is still 1
+    return max(1, math.ceil(1.0 / (4.0 * epsilon * epsilon)))
 
 
 def _gof_chunk(args) -> list[float]:

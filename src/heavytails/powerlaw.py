@@ -92,10 +92,13 @@ def _zeta_chunk(s: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
             h1 = w * (dp * h + p * h1)
         h = _EM_COEF[j - 1] + w * p * h
     inv = 1.0 / (s - 1.0)
-    f = a * inv + 0.5 + s * h / a
-    e = a ** -s
-    out[0] += e * f
+    # a**-s F = a**(1-s) (1/(s-1) + (1/2 + (s/a) h) / a): one rounded power
+    # and factors that each fall with a, so the value never rises with q
+    e1 = a ** (1.0 - s)
+    out[0] += e1 * (inv + (0.5 + s * h / a) / a)
     if derivs:
+        e = e1 / a
+        f = a * inv + 0.5 + s * h / a
         # Leibniz rule, with (a**-s)' = -log(a) a**-s
         f1 = (h + s * h1) / a - a * inv * inv
         f2 = (2.0 * h1 + s * h2) / a + 2.0 * a * inv ** 3

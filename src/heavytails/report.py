@@ -7,6 +7,8 @@ per alternative, and per-mode scaling rows with the doubling factor.
 
 from __future__ import annotations
 
+from ._constants import MODES
+
 __all__ = ["render"]
 
 
@@ -74,7 +76,7 @@ def _render_scaling(doc: dict) -> str:
                          "object")
     rows = []
     notes = []
-    for mode in ("overall", "collaboration", "single"):
+    for mode in MODES:
         if mode not in doc["modes"]:
             continue
         m = doc["modes"][mode]

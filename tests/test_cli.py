@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import heavytails
 from heavytails import SubfieldAggregate, __version__, read_counts
-from heavytails.cli import main
+from heavytails.cli import build_parser, main
 from heavytails.dataset import write_aggregates
 from heavytails.documents import file_digest, validate_document
 
@@ -249,6 +250,20 @@ class TestGofCommand:
         assert doc["n_sims"] == 100
         assert "--sims 100" in doc["command"]
 
+    # the finest legal epsilon is 0.001, 250,000 simulations: a finer one
+    # would run for days, and inf, nan and 0 give no usable count
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "1e-200", "1e-4",
+                                         "0.00099", "0"])
+    def test_unusable_epsilon_writes_nothing(self, counts_file, tmp_path,
+                                             capsys, epsilon):
+        out = tmp_path / "out"
+        assert run("fit", "--input", counts_file, "--outdir", out, "--gof",
+                   "--epsilon", epsilon, "--bootstrap", 0) == 1
+        assert capsys.readouterr().err == (
+            "error: epsilon must be finite and at least 0.001 (250000 "
+            "simulations); use --sims for a larger run\n")
+        assert not out.exists()
+
     def test_bad_sims_rejected(self, counts_file, tmp_path, capsys):
         code = run("gof", "--input", counts_file, "--outdir", tmp_path,
                    "--sims", 0)
@@ -442,6 +457,82 @@ class TestIngestCommand:
                    "--outdir", tmp_path / "bad", "--col-authors", "who") == 1
 
 
+def _recorded_command(path: Path) -> str:
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["command"]
+    # a counts file records its command on its second header line
+    return path.read_text().splitlines()[1].removeprefix("# command: ")
+
+
+class TestRecordedCommand:
+    @pytest.fixture()
+    def workdir(self, tmp_path, counts_file, aggregates_file, export_lines,
+                classification_lines, monkeypatch):
+        (tmp_path / "export.tsv").write_text("".join(export_lines))
+        (tmp_path / "renamed.tsv").write_text(
+            "id\twho\tyear\tkind\tcites\twhere\n"
+            "X1\tSolo, S\t2010\tArticle\t9\tPhysics World\n"
+            "X2\tA, A; B, B\t2011\tReview\t4\tPhysics World\n")
+        (tmp_path / "map.csv").write_text("".join(classification_lines))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    # argv, the file that records its command, and the options whose
+    # recorded value differs from the one given: --threads is left out,
+    # and --epsilon is recorded as the --sims count it resolves to
+    @pytest.mark.parametrize("argv, recorded_in, resolved", [
+        (["fit", "--input", "counts.txt", "--outdir", "out", "--bootstrap",
+          3, "--xmin", 2, "--label", "", "--seed", 0, "--threads", 2],
+         "out/fit.json", {"threads": 1}),
+        (["fit", "--input", "counts.txt", "--outdir", "out", "--gof",
+          "--epsilon", 0.2, "--bootstrap", 2, "--min-tail", 30],
+         "out/gof.json", {"sims": 7, "epsilon": None}),
+        (["gof", "--input", "counts.txt", "--outdir", "out", "--sims", 5,
+          "--seed", 2], "out/gof.json", {}),
+        (["compare", "--input", "counts.txt", "--outdir", "out", "--label",
+          "my label", "--alternatives", "lognormal, exponential"],
+         "out/compare.json", {}),
+        (["scaling", "--input", "aggregates.tsv", "--outdir", "out",
+          "--mode", "collaboration", "--seed", 3], "out/scaling.json", {}),
+        (["simulate", "--family", "powerlaw", "--alpha", 2.5, "--xmin", 2,
+          "--n", 200, "--seed", 4, "--output", "sim.txt"], "sim.txt", {}),
+        (["simulate", "--family", "lognormal", "--sigma", 1.5, "--mu", 1,
+          "--n", 200, "--output", "sims/a sample.txt"],
+         "sims/a sample.txt", {}),
+        (["simulate", "--family", "exponential", "--rate", 0.25, "--n", 200,
+          "--seed", 4, "--output", "sim.txt"], "sim.txt", {}),
+        (["simulate", "--family", "powerlaw_cutoff", "--rate", 0.01,
+          "--alpha", 1.8, "--n", 200, "--output", "sim.txt"], "sim.txt", {}),
+        (["ingest", "--input", "export.tsv", "--map", "map.csv", "--outdir",
+          "out", "--year-min", 2000, "--year-max", 2004], "out/ingest.json",
+         {}),
+        (["ingest", "--input", "renamed.tsv", "--map", "map.csv", "--outdir",
+          "out", "--col-authors", "who", "--col-journal", "where",
+          "--col-doctype", "kind", "--col-cited", "cites", "--col-year",
+          "year", "--col-id", "id", "--seed", 5], "out/ingest.json", {}),
+    ], ids=["fit", "fit-gof-epsilon", "gof", "compare", "scaling",
+            "simulate-powerlaw", "simulate-lognormal", "simulate-exponential",
+            "simulate-powerlaw_cutoff", "ingest-years", "ingest-columns"])
+    def test_rerun_reproduces_every_output(self, workdir, argv, recorded_in,
+                                           resolved):
+        inputs = set(workdir.rglob("*"))
+
+        def outputs():
+            return {path: path.read_bytes() for path in workdir.rglob("*")
+                    if path.is_file() and path not in inputs}
+
+        assert run(*argv) == 0
+        first = outputs()
+        command = shlex.split(_recorded_command(workdir / recorded_in))
+        want = vars(build_parser().parse_args([str(a) for a in argv]))
+        assert vars(build_parser().parse_args(command)) == {**want,
+                                                            **resolved}
+        for path in first:
+            path.unlink()
+        assert main(command) == 0
+        assert outputs() == first
+
+
 class TestReportCommand:
     def test_renders_each_kind(self, counts_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -501,16 +592,17 @@ def fresh_python(code, *args, cwd=None, module=False):
     return proc.stdout
 
 
-# runs one command, then prints its exit code and the heavy modules it loaded
+# runs one command, then prints its exit code and which of the modules named
+# by its first argument (comma-separated) it loaded
 COMMAND_PROBE = """
 import json, sys
 from heavytails.cli import main
+watched = sys.argv.pop(1).split(",")
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-heavy = ("numpy", "scipy", "concurrent.futures")
-print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
+print(json.dumps([code, [m for m in watched if m in sys.modules]]))
 """
 
 NAMESPACE_PROBE = """
@@ -571,8 +663,19 @@ class TestImports:
     ], ids=["version", "report", "simulate", "simulate-lognormal", "fit",
             "fit-threads", "gof", "ingest", "compare", "scaling"])
     def test_command_imports_only_what_it_runs(self, workdir, argv, loaded):
-        out = fresh_python(COMMAND_PROBE, *argv, cwd=workdir)
+        out = fresh_python(COMMAND_PROBE, "numpy,scipy,concurrent.futures",
+                           *argv, cwd=workdir)
         assert json.loads(out.splitlines()[-1]) == [0, loaded]
+
+    # documents imports dataclasses only when it builds a document: at
+    # module level it would also load inspect
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["report", "--input", "doc/fit.json"],
+    ], ids=["version", "report"])
+    def test_light_commands_load_no_dataclasses(self, workdir, argv):
+        out = fresh_python(COMMAND_PROBE, "dataclasses,inspect", *argv,
+                           cwd=workdir)
+        assert json.loads(out.splitlines()[-1]) == [0, []]
 
     def test_module_runs_as_a_script(self):
         out = fresh_python("heavytails.cli", "--version", module=True)

@@ -165,6 +165,24 @@ class TestAggregatesIO:
                            match="^agg.tsv:2: non-integer aggregate value"):
             read_aggregates(path)
 
+    # blank lines count, and a row the aggregate itself rejects is named too
+    @pytest.mark.parametrize("column, value, message", [
+        (2, "ten", "non-integer aggregate value"),
+        (2, "11", r"papers_total must equal papers_collab \+ papers_single"),
+        (4, "-3", "papers_single must be nonnegative"),
+    ], ids=["non-integer", "unbalanced", "negative"])
+    def test_row_error_names_its_line(self, tmp_path, column, value,
+                                      message):
+        path = tmp_path / "agg.tsv"
+        write_aggregates(path, [self._aggregate()])
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        bad = row.split("\t")
+        bad[column] = value
+        path.write_text(f"{header}\n\n{row}\n\n" + "\t".join(bad) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^agg.tsv:5: {message}$"):
+            read_aggregates(path)
+
     def test_partition_must_sum(self):
         with pytest.raises(ValueError):
             SubfieldAggregate("s", "f", papers_total=5, papers_collab=1,

@@ -16,6 +16,7 @@ class TestRequiredSims:
         (0.5, 1),
         (0.02, 625),
         (0.1, 25),
+        (1e200, 1),     # 1/(4 eps^2) underflows to 0
     ])
     def test_known_values(self, epsilon, expected):
         assert required_sims(epsilon) == expected
