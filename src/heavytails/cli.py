@@ -193,6 +193,8 @@ def _cmd_fit(args) -> None:
     from .gof import gof_test
     from .powerlaw import ccdf_table, fit_power_law
 
+    if not args.gof and (args.sims is not None or args.epsilon is not None):
+        raise ValueError("--sims and --epsilon need --gof")
     sample = read_counts(args.input, label=args.label)
     args.sims = _resolve_sims(args) if args.gof else None
     if args.bootstrap > 0:
@@ -300,42 +302,42 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_ingest(args) -> None:
     from .dataset import write_aggregates, write_counts
-    from .ingest import (build_aggregates, filter_years, mode_samples,
-                         parse_export, read_classification)
+    from .ingest import KeptRows, export_rows, in_window, read_classification
 
     if (args.year_min is not None and args.year_max is not None
             and args.year_min > args.year_max):
         raise ValueError(f"--year-min {args.year_min} is after "
                          f"--year-max {args.year_max}")
-    # parse_export reads a field whose flag is not given from its
+    # export_rows reads a field whose flag is not given from its
     # DEFAULT_COLUMNS column
     columns = {field: column for field, flag in _COLUMN_FLAGS.items()
                if (column := getattr(args, f"col_{flag}")) is not None}
+    window = args.year_min is not None or args.year_max is not None
+    kept, rejections, outside = KeptRows(), [], 0
     with open(args.input, "r", encoding="utf-8-sig", newline=None) as fh:
-        parsed = parse_export(fh, columns)
-    records = filter_years(parsed.records, args.year_min, args.year_max)
-    if args.year_min is not None or args.year_max is not None:
-        print(f"ingest: {len(parsed.records) - len(records)} records outside "
-              "the year window", file=sys.stderr)
-    # record ids are unique once parse_export has rejected duplicates
-    row_of = dict(zip((rec.record_id for rec in parsed.records),
-                      parsed.source_rows))
-    rows = [row_of[rec.record_id] for rec in records]
+        # row: record_id, authors, journal, doc_type, citations, year
+        for lineno, row, reason in export_rows(fh, columns):
+            if row is None:
+                rejections.append((lineno, reason))
+            elif window and not in_window(row[5], args.year_min,
+                                          args.year_max):
+                outside += 1
+            else:
+                kept.add(lineno, row[1], row[2], row[4])
+    if window:
+        print(f"ingest: {outside} records outside the year window",
+              file=sys.stderr)
     with open(args.map, "r", encoding="utf-8-sig", newline=None) as fh:
         classification = read_classification(fh)
-    aggregates, unmapped = build_aggregates(records, classification, rows)
-    rejections = sorted(list(parsed.rejections) + list(unmapped))
-    # counts samples cover the same corpus as the aggregates: mapped journals.
-    # Source rows are unique, so a row names the one record it came from.
-    unmapped_rows = {row for row, _ in unmapped}
-    mapped = [rec for rec, row in zip(records, rows)
-              if row not in unmapped_rows]
+    aggregates, unmapped, mapped = kept.tally(classification)
+    rejections = sorted(rejections + unmapped)
+    # counts samples cover the same corpus as the aggregates: mapped journals
+    samples = kept.samples(mapped)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     write_aggregates(args.outdir / "aggregates.tsv", aggregates)
     _write_csv(args.outdir / "rejections.tsv", "row\treason", rejections,
                sep="\t")
-    samples = mode_samples(mapped)
     command = _recorded(args, _RECORDED["ingest"])
     for mode, sample in samples.items():
         write_counts(args.outdir / f"counts_{mode}.txt", sample.counts,
@@ -345,7 +347,7 @@ def _cmd_ingest(args) -> None:
         command=command, seed=args.seed,
         input_digest=documents.file_digest(args.input),
         map_digest=documents.file_digest(args.map),
-        n_records=len(mapped), n_rejections=len(rejections),
+        n_records=mapped.count(1), n_rejections=len(rejections),
         n_subfields=len(aggregates),
         mode_counts={mode: len(s) for mode, s in samples.items()})
     documents.write_document(doc, args.outdir / "ingest.json")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import astuple, dataclass, fields
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -201,9 +202,17 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
     endings are accepted.  A count is written in ASCII digits only.
     """
     path = Path(path)
-    values: list[int] = []
     with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = fh.read().split("\n")
+    data = [line for line in lines if line and line[0] != "#"]
+    digits = "".join(data)
+    # the common file, bare digits between comments, converts in one go;
+    # anything else takes the line-by-line parser, which words the error
+    if data and digits.isascii() and digits.isdigit():
+        values = np.array(data, dtype=np.int64)
+    else:
+        values = []
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -214,7 +223,7 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
             if value < 0:
                 raise ValueError(f"{path.name}:{lineno}: negative count {value}")
             values.append(value)
-    if not values:
+    if not len(values):
         raise ValueError("empty dataset")
     return CitationSample(values, label=label if label is not None else path.stem)
 
@@ -222,11 +231,14 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
 def write_counts(path: str | Path, counts: Iterable[int],
                  header: Iterable[str] = ()) -> None:
     """Write counts one per line; header lines are emitted as ``#`` comments."""
+    if isinstance(counts, np.ndarray):
+        counts = counts.tolist()  # Python ints format faster than numpy's
+    lines = [f"# {line}\n" for line in header]
+    # a sample's counts are sorted: each run of equal values is one string
+    lines += [f"{int(value)}\n" * len(list(run))
+              for value, run in groupby(counts)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        for value in counts:
-            fh.write(f"{int(value)}\n")
+        fh.write("".join(lines))
 
 
 def read_aggregates(path: str | Path) -> list[SubfieldAggregate]:

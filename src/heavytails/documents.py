@@ -44,7 +44,12 @@ def content_digest(data: bytes) -> str:
 
 
 def file_digest(path: str | Path) -> str:
-    return content_digest(Path(path).read_bytes())
+    """content_digest of the file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _envelope(kind: str, command: str, seed: int, input_digest: str) -> dict:

@@ -8,8 +8,9 @@ reason; nothing is discarded silently.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "DEFAULT_COLUMNS",
     "BiblioRecord",
     "ParseResult",
+    "export_rows",
     "parse_export",
     "write_export",
     "classify_collaboration",
@@ -29,6 +31,8 @@ __all__ = [
     "build_aggregates",
     "mode_samples",
     "filter_years",
+    "in_window",
+    "KeptRows",
 ]
 
 DOC_TYPES = frozenset({"Article", "Review", "Letter", "Note",
@@ -60,14 +64,18 @@ class ParseResult:
     rejections: tuple[tuple[int, str], ...]
 
 
-def parse_export(lines: Iterable[str],
-                 columns: Mapping[str, str] | None = None) -> ParseResult:
-    """Parse a tab-delimited export into records.
+def export_rows(lines: Iterable[str],
+                columns: Mapping[str, str] | None = None,
+                ) -> Iterator[tuple[int, tuple | None, str | None]]:
+    """Validate a tab-delimited export one line at a time.
 
-    Rows failing validation (bad citation count or year, no authors,
-    excluded document type, duplicate id) are collected as rejections,
-    never silently dropped.  Raises on a missing header or a header
-    lacking a required column.
+    Yields ``(line_number, row, reason)`` for each non-blank data line:
+    ``row`` holds the :class:`BiblioRecord` fields of an accepted line; a
+    line failing validation (too few fields, excluded document type, bad
+    citation count or year, no authors, missing or duplicate id) has
+    ``row`` None and a ``reason``.  Line numbers are 1-based, header
+    included.  The header is checked at the first ``next()``, which raises
+    on a missing header or a header lacking a required column.
     """
     cols = dict(DEFAULT_COLUMNS)
     if columns:
@@ -85,54 +93,72 @@ def parse_export(lines: Iterable[str],
             raise ValueError(f"missing required column: {name}")
         index[field] = position[name]
     width = max(index.values()) + 1
+    i_authors, i_journal, i_doc_type, i_citations, i_year, i_id = (
+        index[field] for field in ("authors", "journal", "doc_type",
+                                   "citations", "year", "record_id"))
 
+    seen: set[str] = set()
+    for lineno, line in enumerate(it, start=2):
+        if not line or line.isspace():
+            continue
+        # every field used is stripped, so the line ending may stay on
+        fields = line.split("\t")
+        if len(fields) < width:
+            yield lineno, None, (f"expected at least {width} fields, "
+                                 f"got {len(fields)}")
+            continue
+        doc_type = fields[i_doc_type].strip()
+        if doc_type not in DOC_TYPES:
+            yield lineno, None, f"excluded document type: {doc_type}"
+            continue
+        # bare ASCII digits, the common case, need no _parse_int call
+        text = fields[i_citations].strip()
+        try:
+            citations = (int(text) if text.isdigit() and text.isascii()
+                         else _parse_int(text))
+        except ValueError:
+            yield lineno, None, "unparseable citation count"
+            continue
+        if citations < 0:
+            yield lineno, None, "negative citation count"
+            continue
+        text = fields[i_year].strip()
+        try:
+            year = (int(text) if text.isdigit() and text.isascii()
+                    else _parse_int(text))
+        except ValueError:
+            yield lineno, None, "unparseable year"
+            continue
+        authors = tuple(filter(None, map(str.strip,
+                                         fields[i_authors].split(";"))))
+        if not authors:
+            yield lineno, None, "no authors"
+            continue
+        record_id = fields[i_id].strip()
+        if not record_id:
+            yield lineno, None, "missing record id"
+            continue
+        if record_id in seen:
+            yield lineno, None, f"duplicate record id: {record_id}"
+            continue
+        seen.add(record_id)
+        yield lineno, (record_id, authors, fields[i_journal].strip(),
+                       doc_type, citations, year), None
+
+
+def parse_export(lines: Iterable[str],
+                 columns: Mapping[str, str] | None = None) -> ParseResult:
+    """Parse a tab-delimited export into records; every row that fails
+    :func:`export_rows`' validation is kept as a rejection."""
     records: list[BiblioRecord] = []
     source_rows: list[int] = []
     rejections: list[tuple[int, str]] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(it, start=2):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < width:
-            rejections.append((lineno, f"expected at least {width} fields, "
-                                       f"got {len(fields)}"))
-            continue
-        doc_type = fields[index["doc_type"]].strip()
-        if doc_type not in DOC_TYPES:
-            rejections.append((lineno, f"excluded document type: {doc_type}"))
-            continue
-        try:
-            citations = _parse_int(fields[index["citations"]].strip())
-        except ValueError:
-            rejections.append((lineno, "unparseable citation count"))
-            continue
-        if citations < 0:
-            rejections.append((lineno, "negative citation count"))
-            continue
-        try:
-            year = _parse_int(fields[index["year"]].strip())
-        except ValueError:
-            rejections.append((lineno, "unparseable year"))
-            continue
-        authors = tuple(a.strip() for a in fields[index["authors"]].split(";")
-                        if a.strip())
-        if not authors:
-            rejections.append((lineno, "no authors"))
-            continue
-        record_id = fields[index["record_id"]].strip()
-        if not record_id:
-            rejections.append((lineno, "missing record id"))
-            continue
-        if record_id in seen:
-            rejections.append((lineno, f"duplicate record id: {record_id}"))
-            continue
-        seen.add(record_id)
-        records.append(BiblioRecord(record_id, authors,
-                                    fields[index["journal"]].strip(),
-                                    doc_type, citations, year))
-        source_rows.append(lineno)
+    for lineno, row, reason in export_rows(lines, columns):
+        if row is None:
+            rejections.append((lineno, reason))
+        else:
+            records.append(BiblioRecord(*row))
+            source_rows.append(lineno)
     return ParseResult(tuple(records), tuple(source_rows), tuple(rejections))
 
 
@@ -153,9 +179,15 @@ def write_export(records: Iterable[BiblioRecord],
 
 def classify_collaboration(record: BiblioRecord) -> str:
     """'collaboration' iff more than one author; affiliations are ignored."""
-    if len(record.authors) == 0:
+    return ("collaboration" if _collaborative(record.authors)
+            else "no_collaboration")
+
+
+def _collaborative(authors: Sequence[str]) -> bool:
+    """The collaboration rule: more than one author."""
+    if len(authors) == 0:
         raise ValueError("anonymous record")
-    return "collaboration" if len(record.authors) > 1 else "no_collaboration"
+    return len(authors) > 1
 
 
 def normalize_journal(name: str) -> str:
@@ -209,54 +241,93 @@ def build_aggregates(records: Sequence[BiblioRecord],
     rejection list with their source line number (0 when unknown).
     Every mapped record lands in exactly one aggregate.
     """
-    if not classification:
-        raise ValueError("empty classification map")
-    if source_rows is None:
-        source_rows = [0] * len(records)
-    sums: dict[str, list] = {}
-    rejections: list[tuple[int, str]] = []
-    for rec, row in zip(records, source_rows):
-        target = classification.get(normalize_journal(rec.journal))
-        if target is None:
-            rejections.append((row, f"unmapped journal: {rec.journal}"))
-            continue
-        field, subfield = target
-        entry = sums.setdefault(subfield, [field, 0, 0, 0, 0])
-        collab = classify_collaboration(rec) == "collaboration"
-        entry[1 if collab else 2] += 1
-        entry[3 if collab else 4] += rec.citations
-    aggregates = [
-        SubfieldAggregate(subfield_id=subfield, field_id=entry[0],
-                          papers_total=entry[1] + entry[2],
-                          papers_collab=entry[1], papers_single=entry[2],
-                          citations_total=entry[3] + entry[4],
-                          citations_collab=entry[3],
-                          citations_single=entry[4])
-        for subfield, entry in sorted(sums.items())
-    ]
+    rows = [0] * len(records) if source_rows is None else source_rows
+    kept = KeptRows()
+    for rec, row in zip(records, rows):
+        kept.add(row, rec.authors, rec.journal, rec.citations)
+    aggregates, rejections, _ = kept.tally(classification)
     return aggregates, rejections
 
 
 def mode_samples(records: Sequence[BiblioRecord]) -> dict[str, CitationSample]:
     """Citation-count samples for overall/collaboration/single partitions."""
-    overall = [rec.citations for rec in records]
-    collab = [rec.citations for rec in records
-              if classify_collaboration(rec) == "collaboration"]
-    single = [rec.citations for rec in records
-              if classify_collaboration(rec) == "no_collaboration"]
-    out: dict[str, CitationSample] = {}
-    for mode, values in (("overall", overall), ("collaboration", collab),
-                         ("single", single)):
-        if values:
-            out[mode] = CitationSample(np.asarray(values, dtype=np.int64),
-                                       label=mode)
-    return out
+    kept = KeptRows()
+    for rec in records:
+        kept.add(0, rec.authors, rec.journal, rec.citations)
+    return kept.samples()
 
 
 def filter_years(records: Sequence[BiblioRecord],
                  year_min: int | None = None,
                  year_max: int | None = None) -> list[BiblioRecord]:
     """Keep records within the inclusive publication-year window."""
-    return [rec for rec in records
-            if (year_min is None or rec.year >= year_min)
-            and (year_max is None or rec.year <= year_max)]
+    return [rec for rec in records if in_window(rec.year, year_min, year_max)]
+
+
+def in_window(year: int, year_min: int | None, year_max: int | None) -> bool:
+    """Whether ``year`` lies in the inclusive window; None is an open end."""
+    return ((year_min is None or year >= year_min)
+            and (year_max is None or year <= year_max))
+
+
+class KeptRows:
+    """Kept rows in compact columns, not one object per row: source line,
+    citations, collaboration flag, and an index into the distinct raw
+    journal names."""
+
+    def __init__(self) -> None:
+        self.rows, self.citations = array("q"), array("q")
+        self.collab, self.journal_at = bytearray(), array("I")
+        self.journals: dict[str, int] = {}
+
+    def add(self, row: int, authors: Sequence[str], journal: str,
+            citations: int) -> None:
+        self.rows.append(row)
+        self.citations.append(citations)
+        self.collab.append(_collaborative(authors))
+        self.journal_at.append(self.journals.setdefault(journal,
+                                                        len(self.journals)))
+
+    def tally(self, classification: Mapping[str, tuple[str, str]],
+              ) -> tuple[list[SubfieldAggregate], list[tuple[int, str]],
+                         bytearray]:
+        """Per-subfield sums, split by collaboration, looking each distinct
+        journal up once.  Returns the aggregates sorted by subfield, the
+        unmapped rows' rejections, and a flag per row, 1 where mapped."""
+        if not classification:
+            raise ValueError("empty classification map")
+        names = list(self.journals)
+        # subfield -> [field, papers_collab, papers_single, citations_collab,
+        # citations_single]; each journal points at its entry, or None
+        sums: dict[str, list] = {}
+        entry_of = [None if target is None
+                    else sums.setdefault(target[1], [target[0], 0, 0, 0, 0])
+                    for target in map(classification.get,
+                                      map(normalize_journal, names))]
+        rejections: list[tuple[int, str]] = []
+        mapped = bytearray(len(self.rows))
+        for i, (row, cites, collab, j) in enumerate(zip(
+                self.rows, self.citations, self.collab, self.journal_at)):
+            entry = entry_of[j]
+            if entry is None:
+                rejections.append((row, f"unmapped journal: {names[j]}"))
+                continue
+            mapped[i] = 1
+            entry[1 if collab else 2] += 1
+            entry[3 if collab else 4] += cites
+        return ([SubfieldAggregate(sub, field, pc + ps, pc, ps, cc + cs,
+                                   cc, cs)
+                 for sub, (field, pc, ps, cc, cs) in sorted(sums.items())],
+                rejections, mapped)
+
+    def samples(self, keep: bytearray | None = None,
+                ) -> dict[str, CitationSample]:
+        """The overall, collaboration and single samples of the rows whose
+        ``keep`` flag is set, all rows by default; an empty one is left out."""
+        keep = slice(None) if keep is None else np.asarray(keep, dtype=bool)
+        cites = np.asarray(self.citations, dtype=np.int64)[keep]
+        collab = np.asarray(self.collab, dtype=bool)[keep]
+        parts = {"overall": cites, "collaboration": cites[collab],
+                 "single": cites[~collab]}
+        return {mode: CitationSample(values, label=mode)
+                for mode, values in parts.items() if values.size}

@@ -11,9 +11,10 @@ import pytest
 
 import heavytails
 from heavytails import SubfieldAggregate, __version__, read_counts
-from heavytails.cli import build_parser, main
-from heavytails.dataset import write_aggregates
+from heavytails.cli import _COLUMN_FLAGS, build_parser, main
+from heavytails.dataset import write_aggregates, write_counts
 from heavytails.documents import file_digest, validate_document
+from heavytails.ingest import DEFAULT_COLUMNS
 
 from conftest import EXPORT_HEADER, export_row
 
@@ -71,8 +72,11 @@ class TestParser:
         (["scaling", "--seed", -3], "--seed must be at least 0"),
         (["ingest", "--map", "map.csv", "--seed", -3],
          "--seed must be at least 0"),
+        (["fit", "--sims", 5], "--sims and --epsilon need --gof"),
+        (["fit", "--epsilon", "nan"], "--sims and --epsilon need --gof"),
     ], ids=["bootstrap", "min-tail", "fit-seed", "fit-gof-seed",
-            "compare-seed", "no-family", "scaling-seed", "ingest-seed"])
+            "compare-seed", "no-family", "scaling-seed", "ingest-seed",
+            "fit-sims-without-gof", "fit-epsilon-without-gof"])
     def test_out_of_range_option_writes_nothing(self, counts_file, tmp_path,
                                                 capsys, argv, message):
         out = tmp_path / "out"
@@ -455,6 +459,196 @@ class TestIngestCommand:
         # each renamed column needs its flag
         assert run("ingest", "--input", path, "--map", map_file,
                    "--outdir", tmp_path / "bad", "--col-authors", "who") == 1
+
+
+# column name of each record field, as the export header of
+# TestIngestSinglePass spells it by default and renamed
+_EXPORT_COLUMNS = {
+    "default": DEFAULT_COLUMNS,
+    "renamed": {"authors": "who", "journal": "where", "doc_type": "kind",
+                "citations": "cites", "year": "when", "record_id": "id"},
+}
+# the defects benchmarks/corpus.py plants, one rule each
+_DEFECTS = ("short", "doctype", "cites", "negative", "year", "authors",
+            "noid", "duplicate", "unmapped")
+
+
+def _defective_export(path: Path, names: dict) -> None:
+    """An export with every planted defect kind, a duplicate whose first
+    copy lies outside 2000-2009, blank lines and mixed LF/CRLF endings."""
+    journals = ["Annals of Area 1 & Topic 1", "annals of area 1 and topic 1",
+                "Physics  World", "Botany Letters", "Acta Mathematica"]
+    header = ["PT", names["authors"], "TI", names["journal"],
+              names["doc_type"], names["citations"], names["year"],
+              names["record_id"]]
+    lines = ["\t".join(header)]
+    clean_ids = []
+    for i in range(240):
+        authors = "; ".join(f"Author{(i * 7 + a) % 31}, A"
+                            for a in range(1 + i % 3 + (i % 5 == 0)))
+        fields = ["J", authors, f"Paper {i}", journals[i % len(journals)],
+                  ("Article", "Review", "Letter", "Note")[i % 4],
+                  str((i * 37) % 101 + (i % 11) ** 3), str(1995 + i % 20),
+                  f"WOS:{i:06d}"]
+        kind = _DEFECTS[i % 20] if i % 20 < len(_DEFECTS) and i else None
+        if kind == "short":
+            fields = fields[:4]
+        elif kind == "doctype":
+            fields[4] = "Editorial Material"
+        elif kind == "cites":
+            fields[5] = "n/a"
+        elif kind == "negative":
+            fields[5] = f"-{1 + i % 9}"
+        elif kind == "year":
+            fields[6] = "20x5"
+        elif kind == "authors":
+            fields[1] = " ; "
+        elif kind == "noid":
+            fields[7] = ""
+        elif kind == "duplicate":
+            fields[7] = clean_ids[i % len(clean_ids)]
+        elif kind == "unmapped":
+            fields[3] = f"Unlisted Bulletin {i % 3}"
+        else:
+            clean_ids.append(fields[7])
+        lines.append("\t".join(fields))
+        if i % 17 == 0:
+            lines.append("" if i % 2 else "  \t ")
+    # WOS:000000 is from 1995; its copy falls inside the window
+    lines.append("\t".join(["J", "Late, L", "Copy", "Botany Letters",
+                            "Article", "9", "2005", "WOS:000000"]))
+    path.write_bytes("".join(line + ("\r\n" if k % 3 else "\n")
+                             for k, line in enumerate(lines)).encode())
+
+
+def _reference_ingest(export: Path, map_path: Path, out: Path, command: str,
+                      columns: dict, year_min=None, year_max=None) -> str:
+    """What `ingest` writes, by the public list path: parse_export,
+    filter_years, build_aggregates and mode_samples.  Returns the year
+    window note."""
+    from heavytails import documents
+    from heavytails.ingest import (build_aggregates, filter_years,
+                                   mode_samples, parse_export,
+                                   read_classification)
+
+    with open(export, encoding="utf-8-sig", newline=None) as fh:
+        parsed = parse_export(fh, columns)
+    records = filter_years(parsed.records, year_min, year_max)
+    row_of = dict(zip((rec.record_id for rec in parsed.records),
+                      parsed.source_rows))
+    rows = [row_of[rec.record_id] for rec in records]
+    with open(map_path, encoding="utf-8-sig", newline=None) as fh:
+        classification = read_classification(fh)
+    aggregates, unmapped = build_aggregates(records, classification, rows)
+    rejections = sorted(list(parsed.rejections) + unmapped)
+    unmapped_rows = {row for row, _ in unmapped}
+    mapped = [rec for rec, row in zip(records, rows)
+              if row not in unmapped_rows]
+    samples = mode_samples(mapped)
+    out.mkdir()
+    write_aggregates(out / "aggregates.tsv", aggregates)
+    (out / "rejections.tsv").write_text(
+        "row\treason\n" + "".join(f"{r}\t{why}\n" for r, why in rejections))
+    for mode, sample in samples.items():
+        write_counts(out / f"counts_{mode}.txt", sample.counts,
+                     [f"heavytails {__version__}", f"command: {command}",
+                      f"mode: {mode}"])
+    documents.write_document(documents.ingest_document(
+        command=command, seed=0, input_digest=file_digest(export),
+        map_digest=file_digest(map_path),
+        n_records=len(mapped),
+        n_rejections=len(rejections), n_subfields=len(aggregates),
+        mode_counts={mode: len(s) for mode, s in samples.items()}),
+        out / "ingest.json")
+    if year_min is None and year_max is None:
+        return ""
+    return (f"ingest: {len(parsed.records) - len(records)} records outside "
+            "the year window\n")
+
+
+class TestIngestSinglePass:
+    @pytest.fixture()
+    def map_file(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("journal,field,subfield\n"
+                        "Annals of Area 1 & Topic 1,natural,area one\n"
+                        "physics world,natural,applied physics\n"
+                        "BOTANY LETTERS,life,plant sciences\n"
+                        "acta mathematica,formal,pure mathematics\n")
+        return path
+
+    @pytest.mark.parametrize("names, window", [
+        ("default", (None, None)),
+        ("default", (2000, 2009)),
+        ("renamed", (None, 2004)),
+    ], ids=["no-window", "window", "renamed-columns"])
+    def test_outputs_equal_the_list_path(self, tmp_path, map_file, capsys,
+                                         names, window):
+        export = tmp_path / "export.tsv"
+        _defective_export(export, _EXPORT_COLUMNS[names])
+        argv = ["ingest", "--input", export, "--map", map_file,
+                "--outdir", tmp_path / "out"]
+        columns = {}
+        if names == "renamed":
+            columns = _EXPORT_COLUMNS[names]
+            for field, column in columns.items():
+                argv += [f"--col-{_COLUMN_FLAGS[field]}", column]
+        for flag, year in zip(("--year-min", "--year-max"), window):
+            if year is not None:
+                argv += [flag, year]
+        assert run(*argv) == 0
+        captured = capsys.readouterr()
+        command = json.loads((tmp_path / "out" / "ingest.json")
+                             .read_text())["command"]
+        note = _reference_ingest(export, map_file, tmp_path / "ref", command,
+                                 columns, *window)
+        assert (captured.out, captured.err) == ("", note)
+        got = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        want = {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()}
+        assert got == want
+        rejected = (tmp_path / "out" / "rejections.tsv").read_text()
+        for reason in ("expected at least 8 fields", "excluded document",
+                       "unparseable citation", "negative citation",
+                       "unparseable year", "no authors", "missing record id",
+                       "duplicate record id: WOS:000000", "unmapped journal"):
+            assert reason in rejected
+
+    def test_bad_header_is_reported_before_the_map_is_opened(self, tmp_path,
+                                                             capsys):
+        export = tmp_path / "export.tsv"
+        export.write_text("AU\tSO\tDT\tPY\tUT\n")
+        assert run("ingest", "--input", export, "--map",
+                   tmp_path / "missing.csv", "--outdir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "error: missing required column: TC\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_window_note_comes_before_a_bad_map(self, tmp_path, capsys,
+                                                export_lines):
+        export = tmp_path / "export.tsv"
+        export.write_text("".join(export_lines))
+        bad_map = tmp_path / "map.csv"
+        bad_map.write_text("name,area,topic\n")
+        assert run("ingest", "--input", export, "--map", bad_map,
+                   "--outdir", tmp_path / "out", "--year-min", 2000) == 1
+        assert capsys.readouterr().err == (
+            "ingest: 1 records outside the year window\n"
+            "error: classification header must be journal,field,subfield\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_builds_no_record(self, tmp_path, map_file, monkeypatch):
+        import heavytails.ingest
+
+        def refuse(*args):
+            raise AssertionError("ingest built a BiblioRecord")
+        monkeypatch.setattr(heavytails.ingest, "BiblioRecord", refuse)
+        export = tmp_path / "export.tsv"
+        _defective_export(export, _EXPORT_COLUMNS["default"])
+        with open(export, encoding="utf-8") as fh, \
+                pytest.raises(AssertionError, match="BiblioRecord"):
+            heavytails.ingest.parse_export(fh)
+        assert run("ingest", "--input", export, "--map", map_file,
+                   "--outdir", tmp_path / "out") == 0
 
 
 def _recorded_command(path: Path) -> str:

@@ -112,6 +112,23 @@ class TestCountsIO:
         assert lines[:2] == ["# alpha", "# beta"]
         assert_array_equal(read_counts(path).counts, [1, 2])
 
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "c.txt"
+        for counts in (np.array([3, 3, 0, 12, 12, 12]), [3, 3, 0, 12, 12, 12]):
+            write_counts(path, counts, header=("h",))
+            assert path.read_bytes() == b"# h\n3\n3\n0\n12\n12\n12\n"
+
+    # bare digits take the one-go conversion, the rest the line parser
+    @pytest.mark.parametrize("text", [
+        "3\n1\n4\n", "# h\n3\n\n1\n4", "3\r\n1\r\n4\r\n", " 3\n1 \n\t4\n",
+        "  # h\n3\n1\n4\n", "3\n   \n1\n4\n",
+    ], ids=["bare", "comment-blank", "crlf", "padded", "indented-comment",
+            "whitespace-line"])
+    def test_layouts_read_alike(self, tmp_path, text):
+        path = tmp_path / "c.txt"
+        path.write_bytes(text.encode())
+        assert read_counts(path).counts.tolist() == [1, 3, 4]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# nothing here\n")

@@ -94,6 +94,12 @@ class TestDigests:
         p.write_bytes(b"abc")
         assert file_digest(p) == ABC_SHA
 
+    def test_file_digest_across_chunks(self, tmp_path):
+        # file_digest reads 1 MiB at a time; this file spans three reads
+        p = tmp_path / "big.bin"
+        p.write_bytes(bytes(range(256)) * (9 * 1024) + b"tail")
+        assert file_digest(p) == content_digest(p.read_bytes())
+
 
 class TestRenderJson:
     def test_trailing_newline(self):
