@@ -19,8 +19,8 @@ from scipy.special import chdtrc, log_ndtr, ndtr, ndtri_exp
 from ._constants import FAMILIES
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _mle, _rejection,
-                       _tail_draws, _zeta, _zipf_proposals)
+from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _distinct, _mle,
+                       _rejection, _tail_draws, _zeta, _zipf_proposals)
 
 __all__ = [
     "FAMILIES",
@@ -176,14 +176,6 @@ def _cutoff_moments(alpha: float, rate: float, q: int):
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
-
-def _tail_summary(sample: CitationSample, x_min: int):
-    tail = sample.tail(x_min)
-    if tail.size == 0:
-        raise ValueError("empty tail")
-    values, counts = np.unique(tail, return_counts=True)
-    return values.astype(np.float64), counts.astype(np.float64)
-
 
 def _line_search(model, p, ll, step, lo, hi):
     """(point, model output) at the first of p + t step, projected onto the
@@ -360,7 +352,7 @@ def _fit_cutoff(values, counts, q, anchor=None):
 
 
 def _fit(family: str, values, counts, q: int, anchor=None) -> AltFit:
-    """MLE of one family on a tail summary; ``anchor`` serves the cutoff."""
+    """MLE of one family on a tail's digest; ``anchor`` serves the cutoff."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family!r}")
     if family == "lognormal":
@@ -375,7 +367,7 @@ def fit_alternative(sample: CitationSample, x_min: int, family: str) -> AltFit:
     x_min = int(x_min)
     if x_min < 1:
         raise ValueError("x_min must be a positive integer")
-    values, counts = _tail_summary(sample, x_min)
+    values, counts = np.array(_distinct(sample.counts, x_min), dtype=np.float64)
     return _fit(family, values, counts, x_min)
 
 
@@ -410,7 +402,8 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
     the variance-normalized statistic; the nested cutoff gets a chi-square
     p on 2|lr| with one degree of freedom.
     """
-    values, counts = _tail_summary(sample, pl.x_min)
+    values, counts = np.array(_distinct(sample.counts, pl.x_min),
+                              dtype=np.float64)
     pl_logpmf = pl.model().logpmf(values)
     results = []
     for family in alternatives:

@@ -30,6 +30,9 @@ __all__ = [
     "AGGREGATE_COLUMNS",
 ]
 
+# every count is below 2**63, so that it has an int64 slot
+_COUNT_LIMIT = 1 << 63
+
 AGGREGATE_COLUMNS = (
     "subfield",
     "field",
@@ -58,12 +61,11 @@ class CitationSample:
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(np.equal(np.mod(arr, 1), 0)):
                 raise ValueError("citation counts must be integers")
-            arr = arr.astype(np.int64)
-        else:
-            arr = arr.astype(np.int64)
         if arr.min() < 0:
             raise ValueError("citation counts must be nonnegative")
-        arr = np.sort(arr)
+        if arr.max() >= _COUNT_LIMIT:
+            raise ValueError("citation count out of range")
+        arr = np.sort(arr.astype(np.int64))
         arr.setflags(write=False)
         self._label = str(label)
         self._counts = arr
@@ -199,7 +201,8 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
     """Read the one-count-per-line plain-text format.
 
     Blank lines and lines starting with ``#`` are ignored; both LF and CRLF
-    endings are accepted.  A count is written in ASCII digits only.
+    endings are accepted.  A count is written in ASCII digits only and is
+    below 2**63.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline=None) as fh:
@@ -208,9 +211,13 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
     digits = "".join(data)
     # the common file, bare digits between comments, converts in one go;
     # anything else takes the line-by-line parser, which words the error
+    values = None
     if data and digits.isascii() and digits.isdigit():
-        values = np.array(data, dtype=np.int64)
-    else:
+        try:
+            values = np.array(data, dtype=np.int64)
+        except OverflowError:
+            pass
+    if values is None:
         values = []
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
@@ -222,6 +229,8 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
                 raise ValueError(f"{path.name}:{lineno}: not a base-10 integer: {line!r}") from None
             if value < 0:
                 raise ValueError(f"{path.name}:{lineno}: negative count {value}")
+            if value >= _COUNT_LIMIT:
+                raise ValueError(f"{path.name}:{lineno}: count out of range")
             values.append(value)
     if not len(values):
         raise ValueError("empty dataset")

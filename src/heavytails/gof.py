@@ -18,8 +18,8 @@ import numpy as np
 from ._constants import DEFAULT_SIMS
 from ._rng import DOMAIN_GOF, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _fit_each, _replicates,
-                       _tail_draws, ks_distance)
+from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _distinct, _fit_each,
+                       _replicates, _tail_draws, ks_distance)
 
 __all__ = ["GofResult", "required_sims", "gof_test", "RULE_OUT_THRESHOLD",
            "DEFAULT_SIMS"]
@@ -57,10 +57,9 @@ def _gof_chunk(args) -> list[float]:
     def synthetic(r):
         rng = derived_rng(seed, DOMAIN_GOF, r)
         n_tail = int(rng.binomial(n, p_tail))
-        synth = np.concatenate([
+        return _distinct(np.concatenate([
             _tail_draws(alpha, x_min, n_tail, rng),
-            body[rng.integers(0, body.size, size=n - n_tail)]])
-        return np.sort(synth[synth >= 1])
+            body[rng.integers(0, body.size, size=n - n_tail)]]), 0)
 
     fits = _fit_each(map(synthetic, range(start, stop)), min_tail, None)
     # a synthetic draw without an admissible tail is scored as exceeding

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ._constants import DEFAULT_COLUMNS
-from .dataset import CitationSample, SubfieldAggregate, _parse_int
+from .dataset import (_COUNT_LIMIT, CitationSample, SubfieldAggregate,
+                      _parse_int)
 
 __all__ = [
     "DOC_TYPES",
@@ -72,10 +73,11 @@ def export_rows(lines: Iterable[str],
     Yields ``(line_number, row, reason)`` for each non-blank data line:
     ``row`` holds the :class:`BiblioRecord` fields of an accepted line; a
     line failing validation (too few fields, excluded document type, bad
-    citation count or year, no authors, missing or duplicate id) has
-    ``row`` None and a ``reason``.  Line numbers are 1-based, header
-    included.  The header is checked at the first ``next()``, which raises
-    on a missing header or a header lacking a required column.
+    citation count or year, a count of 2**63 or more, no authors, missing
+    or duplicate id) has ``row`` None and a ``reason``.  Line numbers are
+    1-based, header included.  The header is checked at the first
+    ``next()``, which raises on a missing header or a header lacking a
+    required column.
     """
     cols = dict(DEFAULT_COLUMNS)
     if columns:
@@ -121,6 +123,9 @@ def export_rows(lines: Iterable[str],
             continue
         if citations < 0:
             yield lineno, None, "negative citation count"
+            continue
+        if citations >= _COUNT_LIMIT:
+            yield lineno, None, "citation count out of range"
             continue
         text = fields[i_year].strip()
         try:

@@ -188,22 +188,21 @@ class PowerLawFit:
 # ---------------------------------------------------------------------------
 
 class _TailIndex:
-    """Unique positive values of one or more samples, each with its tail
+    """Distinct positive values of one or more samples, each with its tail
     size, the count above it, its tail log-sum, the rank of its first
-    observation, and the end of its sample's values."""
+    observation, and the end of its sample's values; built from a digest,
+    the distinct values and their multiplicities."""
 
     __slots__ = ("values", "suffix_n", "above", "suffix_logsum", "rank",
                  "end")
 
-    def __init__(self, positive_sorted: np.ndarray):
-        values, first, counts = np.unique(positive_sorted, return_index=True,
-                                          return_counts=True)
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
         self.values = values
-        self.suffix_n = positive_sorted.size - first
+        self.suffix_n = np.cumsum(counts[::-1])[::-1]
         self.above = self.suffix_n - counts
         logsums = counts * np.log(values.astype(np.float64))
         self.suffix_logsum = np.cumsum(logsums[::-1])[::-1]
-        self.rank = first
+        self.rank = counts.sum() - self.suffix_n
         self.end = np.full(values.size, values.size)
 
     @classmethod
@@ -223,10 +222,14 @@ class _TailIndex:
         return out
 
 
-def _positive_part(counts: np.ndarray) -> np.ndarray:
-    # zeros stay in the sample for descriptive statistics but never enter a
-    # tail: log x is undefined at 0
-    return counts[counts >= 1]
+def _distinct(counts: np.ndarray, least: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digest of a sample's values at or above ``least``: its distinct
+    values, ascending, and their multiplicities.  Raises ValueError when
+    there is none."""
+    values, mult = np.unique(counts[counts >= least], return_counts=True)
+    if values.size == 0:
+        raise ValueError("empty tail")
+    return values, mult
 
 
 _ALPHA_LO, _ALPHA_HI = 1.0 + 1e-9, 512.0
@@ -359,48 +362,50 @@ def _best_fits(tails: list) -> list[PowerLawFit]:
             for b in _argmins(ks, bounds)]
 
 
-def _candidates(positive_sorted: np.ndarray, min_tail: int,
+def _candidates(values: np.ndarray, counts: np.ndarray, min_tail: int,
                 x_min: int | None = None) -> tuple:
-    """(index, starts, q): the tail digest of one sample, and the positions
-    and values of its x_min candidates.
+    """(index, starts, q): the tail index of one sample's digest, and the
+    positions and values of its x_min candidates.
 
     The candidates are the observed values whose tail holds at least
     max(min_tail, 2) observations, the largest value excepted, or the pinned
     ``x_min`` alone.  Raises ValueError when there is none.
     """
+    if x_min is not None:
+        x_min = int(x_min)
+        if x_min < 1:
+            raise ValueError("x_min must be a positive integer")
+    # zeros stay in the sample for descriptive statistics but never enter a
+    # tail: log x is undefined at 0.  A value a replicate did not draw has
+    # multiplicity 0.
+    keep = (values >= (x_min or 1)) & (counts > 0)
+    index = _TailIndex(values[keep], counts[keep])
     if x_min is None:
-        index = _TailIndex(positive_sorted)
         m = index.values.size
         starts = np.nonzero((index.suffix_n >= max(int(min_tail), 2))
                             & (np.arange(m) <= m - 2))[0]
         if starts.size == 0:
             raise ValueError("insufficient tail")
         return index, starts, index.values[starts]
-    x_min = int(x_min)
-    if x_min < 1:
-        raise ValueError("x_min must be a positive integer")
-    index = _TailIndex(positive_sorted[positive_sorted >= x_min])
-    if index.values.size == 0:
-        raise ValueError("empty tail")
     if index.values.size < 2:
         raise ValueError("degenerate tail")
     # the tail is conditioned on x >= x_min even when x_min is not observed
     return index, np.zeros(1, dtype=np.intp), np.array([x_min])
 
 
-def _fit_each(samples, min_tail: int,
+def _fit_each(digests, min_tail: int,
               x_min: int | None) -> list[PowerLawFit | None]:
-    """The best fit of each positive sorted sample, in order; None for a
-    sample without a usable tail.
+    """The best fit of each sample, given as its digest (values, counts), in
+    order; None for a sample without a usable tail.
 
-    ``samples`` may be a generator: only each sample's tail digest is kept.
-    Samples are solved together, about _SPAN_VALUES unique values at a time.
+    ``digests`` may be a generator: only each sample's tail index is kept.
+    Samples are solved together, about _SPAN_VALUES distinct values at a time.
     """
     fits, batch, slots = [], [], []
     held = 0
-    for positive in samples:
+    for values, counts in digests:
         try:
-            batch.append(_candidates(positive, min_tail, x_min))
+            batch.append(_candidates(values, counts, min_tail, x_min))
         except ValueError:
             fits.append(None)
             continue
@@ -417,10 +422,11 @@ def _fit_each(samples, min_tail: int,
     return fits
 
 
-def _fit(positive_sorted: np.ndarray, min_tail: int,
+def _fit(values: np.ndarray, counts: np.ndarray, min_tail: int,
          x_min: int | None = None) -> PowerLawFit:
-    """The best fit of one sample; ValueError without a usable tail."""
-    return _best_fits([_candidates(positive_sorted, min_tail, x_min)])[0]
+    """The best fit of one sample's digest; ValueError without a usable
+    tail."""
+    return _best_fits([_candidates(values, counts, min_tail, x_min)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +439,14 @@ def fit_alpha(sample: CitationSample, x_min: int) -> tuple[float, float]:
     Returns ``(alpha, log_likelihood)``.  alpha is the root of the
     likelihood score, found by safeguarded Newton to within rounding.
     """
-    res = _fit(_positive_part(sample.counts), DEFAULT_MIN_TAIL, x_min)
+    res = _fit(*_distinct(sample.counts, x_min), DEFAULT_MIN_TAIL, x_min)
     return res.alpha, res.log_likelihood
 
 
 def ks_distance(sample: CitationSample, model: DiscretePowerLaw) -> float:
     """Max |empirical tail CDF - model CDF| over observed tail values."""
-    tail = sample.tail(model.x_min)
-    if tail.size == 0:
-        raise ValueError("empty tail")
-    ks = _ks(_TailIndex(tail), np.zeros(1, dtype=np.intp),
+    ks = _ks(_TailIndex(*_distinct(sample.counts, model.x_min)),
+             np.zeros(1, dtype=np.intp),
              np.array([model.alpha]), _zeta(model.alpha, model.x_min))
     return float(ks[0])
 
@@ -473,12 +477,14 @@ def _replicates(chunk_fn, args: tuple, total: int, workers: int) -> list:
 
 
 def _bootstrap_chunk(args) -> list[tuple[float, float]]:
-    start, stop, counts, seed, min_tail, fixed_x_min = args
-    n = counts.size
+    start, stop, (values, counts), seed, min_tail, fixed_x_min = args
+    n = int(counts.sum())
+    p = counts / n
 
     def resample(r):
+        # n draws with replacement, as multiplicities of the distinct values
         rng = derived_rng(seed, DOMAIN_BOOTSTRAP, r)
-        return np.sort(_positive_part(counts[rng.integers(0, n, size=n)]))
+        return values, rng.multinomial(n, p)
 
     fits = _fit_each(map(resample, range(start, stop)), min_tail, fixed_x_min)
     # a replicate without a usable tail carries no estimate
@@ -494,17 +500,21 @@ def fit_power_law(sample: CitationSample, *,
                   workers: int = 1) -> PowerLawFit:
     """Fit x_min and alpha, with bootstrap standard deviations.
 
-    x_min is chosen among unique observed values whose tail holds at least
-    ``min_tail`` observations, minimizing the KS distance of the tail's own
-    MLE fit; pass ``x_min`` to pin it instead.  Uncertainties are standard
-    deviations over ``bootstrap_reps`` resample-and-refit replicates
-    (``bootstrap_reps=0`` skips the bootstrap and reports 0.0).
+    x_min is chosen among distinct observed values whose tail holds at
+    least ``min_tail`` observations, minimizing the KS distance of the
+    tail's own MLE fit; pass ``x_min`` to pin it instead.  Uncertainties
+    are standard deviations over ``bootstrap_reps`` refits of replicates,
+    each n draws with replacement from the sample, taken as one multinomial
+    over its distinct values (``bootstrap_reps=0`` skips the bootstrap and
+    reports 0.0).
     """
     counts = sample.counts
-    main = _fit(_positive_part(counts), min_tail, x_min)
+    # a pinned x_min takes its tail's digest, which is empty past the data
+    main = _fit(*_distinct(counts, x_min or 0), min_tail, x_min)
 
     if bootstrap_reps > 0:
-        pairs = _replicates(_bootstrap_chunk, (counts, seed, min_tail, x_min),
+        pairs = _replicates(_bootstrap_chunk,
+                            (_distinct(counts, 0), seed, min_tail, x_min),
                             bootstrap_reps, workers)
         alphas = np.array([p[0] for p in pairs])
         xmins = np.array([p[1] for p in pairs])
@@ -585,11 +595,8 @@ def sample_power_law(model: DiscretePowerLaw, n: int, seed: int) -> CitationSamp
 
 def ccdf_table(sample: CitationSample, model: DiscretePowerLaw) -> list[tuple[int, float, float]]:
     """Rows (x, empirical CCDF, model CCDF) over the observed tail support."""
-    tail = sample.tail(model.x_min)
-    if tail.size == 0:
-        raise ValueError("empty tail")
-    index = _TailIndex(tail)
-    emp = index.suffix_n / tail.size
+    index = _TailIndex(*_distinct(sample.counts, model.x_min))
+    emp = index.suffix_n / index.suffix_n[0]
     mod = model.ccdf(index.values)
     return [(int(x), float(e), float(m))
             for x, e, m in zip(index.values, emp, mod)]

@@ -13,8 +13,8 @@ from heavytails import (CitationSample, DiscretePowerLaw, compare_models,
                         sample_power_law)
 from heavytails.altmodels import (FAMILIES, AltFit, _cutoff_model,
                                   _cutoff_moments, _lognormal_logpmf,
-                                  _lognormal_model, _tail_summary, _vuong)
-from heavytails.powerlaw import PowerLawFit
+                                  _lognormal_model, _vuong)
+from heavytails.powerlaw import PowerLawFit, _distinct
 
 
 def _lerch_log_z(alpha: float, rate: float, q: int) -> float:
@@ -180,7 +180,8 @@ class TestDerivatives:
         ("narrow_sample", 1, (3.0, 2e-3)),          # sigma near its bottom
     ])
     def test_lognormal(self, name, q, point, request):
-        values, counts = _tail_summary(request.getfixturevalue(name), q)
+        values, counts = np.array(
+            _distinct(request.getfixturevalue(name).counts, q), dtype=float)
         # the fit's box is mu0 - 200 <= mu <= mu0 + 50, mu0 the mean log x
         mu0 = float(np.sum(counts * np.log(values)) / counts.sum())
         mu = {"top": mu0 + 49.5, "bottom": mu0 - 199.5}.get(point[0], point[0])
@@ -201,7 +202,8 @@ class TestDerivatives:
         ("pl_sample", 1, (29.5, 1e-3)),             # alpha near its top
     ])
     def test_cutoff(self, name, q, point, request):
-        values, counts = _tail_summary(request.getfixturevalue(name), q)
+        values, counts = np.array(
+            _distinct(request.getfixturevalue(name).counts, q), dtype=float)
         ll, score, hess = _cutoff_model(values, counts, q)(np.array(point))
         g, h = _mp_score_and_hessian(_mp_cutoff_ll(values, counts, q), point)
         assert_allclose(score, g, rtol=1e-8)
@@ -236,7 +238,8 @@ class TestOptimum:
     def test_score_vanishes_off_the_box_edges(self, name, request):
         sample = request.getfixturevalue(name)
         x_min = _DESCENT_LL[name][0]
-        values, counts = _tail_summary(sample, x_min)
+        values, counts = np.array(_distinct(sample.counts, x_min),
+                                  dtype=float)
         n = counts.sum()
         mu0 = float(np.sum(counts * np.log(values)) / n)
         for family, model, lo, hi in (

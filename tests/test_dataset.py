@@ -37,6 +37,18 @@ class TestCitationSample:
         with pytest.raises(ValueError):
             CitationSample(np.array([3, -1]), label="bad")
 
+    @pytest.mark.parametrize("counts", [
+        [3, 2 ** 63], [3, 2 ** 70], np.array([3, 2 ** 63], dtype=np.uint64),
+        [3.0, 1e19]], ids=["int", "object", "uint64", "float"])
+    def test_rejects_counts_of_2_63_or_more(self, counts):
+        # never wrapped through the int64 cast
+        with pytest.raises(ValueError, match="citation count out of range"):
+            CitationSample(counts, label="big")
+
+    def test_keeps_the_largest_int64(self):
+        big = CitationSample([2 ** 63 - 1, 3], label="big")
+        assert big.counts.tolist() == [3, 2 ** 63 - 1]
+
 
 class TestSummarize:
     def test_median_even_sample(self):
@@ -145,7 +157,12 @@ class TestCountsIO:
                               ("+5", "not a base-10 integer"),
                               ("\u0663", "not a base-10 integer"),
                               ("\uff15", "not a base-10 integer"),
-                              ("-3", "negative count -3")]:
+                              ("-3", "negative count -3"),
+                              # the one-go conversion overflows; the line
+                              # parser words it
+                              ("99999999999999999999", "count out of range"),
+                              # padded, so only the line parser reads it
+                              ("  9223372036854775808", "count out of range")]:
             path.write_text(f"3\n{text}\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"^c.txt:2: {message}"):
                 read_counts(path)

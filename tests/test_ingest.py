@@ -47,6 +47,8 @@ class TestParseExport:
         (export_row("WOS:110", "A, B", year="+2005"), "unparseable year"),
         (export_row("WOS:111", "A, B", year="\uff12\uff10\uff10\uff15"),
          "unparseable year"),
+        (export_row("WOS:112", "A, B", citations="99999999999999999999"),
+         "citation count out of range"),
         (export_row("WOS:105", " ; "), "no authors"),
         (export_row("", "A, B"), "missing record id"),
         ("too\tfew", "expected at least 6 fields, got 2"),

@@ -10,7 +10,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import heavytails.gof as gof_module
@@ -29,8 +29,9 @@ from heavytails import (
     sample_power_law,
 )
 from heavytails.gof import _gof_chunk
-from heavytails.powerlaw import (PowerLawFit, _bootstrap_chunk, _ks, _mle,
-                                 _replicates, _TailIndex, _zeta)
+from heavytails.powerlaw import (PowerLawFit, _bootstrap_chunk, _candidates,
+                                 _distinct, _ks, _mle, _replicates,
+                                 _TailIndex, _zeta)
 
 mpmath.mp.dps = 30
 
@@ -208,8 +209,7 @@ class TestKsDistance:
 
 def _scan_candidates(sample):
     """Tail index, candidate positions and x_min values of the scan."""
-    counts = np.sort(sample.counts)
-    index = _TailIndex(counts[counts >= 1])
+    index = _TailIndex(*_distinct(sample.counts, 1))
     m = index.values.size
     starts = np.nonzero((index.suffix_n >= 50) & (np.arange(m) <= m - 2))[0]
     return index, starts, index.values[starts]
@@ -283,9 +283,11 @@ class TestScan:
             fit_power_law(pl_sample, x_min=x_min, bootstrap_reps=4)
 
 
-def _exhaustive_fit(positive_sorted, min_tail=50):
+def _exhaustive_fit(digest, min_tail=50):
     """The scan's reference: every candidate's full KS, then np.argmin."""
-    index = _TailIndex(positive_sorted)
+    values, counts = digest
+    keep = (values >= 1) & (counts > 0)
+    index = _TailIndex(values[keep], counts[keep])
     m = index.values.size
     starts = np.nonzero((index.suffix_n >= max(min_tail, 2))
                         & (np.arange(m) < m - 1))[0]
@@ -326,8 +328,8 @@ class TestPrunedScan:
     """The pruned, span-solved scan against the exhaustive one, bit for bit."""
 
     def test_probe_bounds_the_ks_in_a_joined_index(self):
-        indexes = [_TailIndex(np.sort(sample_power_law(
-            DiscretePowerLaw(x_min, alpha), n, seed=3).counts))
+        indexes = [_TailIndex(*_distinct(sample_power_law(
+            DiscretePowerLaw(x_min, alpha), n, seed=3).counts, 1))
             for x_min, alpha, n in SHAPES.values()]
         alone = []
         for index in indexes:
@@ -361,7 +363,7 @@ class TestPrunedScan:
         sample = sample_power_law(DiscretePowerLaw(x_min, alpha), n, seed=17)
         fit = fit_power_law(sample, bootstrap_reps=20, seed=5)
         assert replace(fit, alpha_sd=0.0, x_min_sd=0.0) == _exhaustive_fit(
-            np.sort(sample.counts))
+            _distinct(sample.counts, 0))
         gof_test(sample, fit, n_sims=20, seed=6)
         assert [len(s) for s, _, _ in span_solves] == [20, 20]
         for samples, min_tail, fits in span_solves:
@@ -384,7 +386,7 @@ class TestPrunedScan:
         real = powerlaw_module._ks
         monkeypatch.setattr(powerlaw_module, "_ks",
                             lambda *a, **k: np.round(real(*a, **k), 2))
-        positive = np.sort(pl_tail_sample.counts)
+        positive = _distinct(pl_tail_sample.counts, 0)
         index, starts, q = _scan_candidates(pl_tail_sample)
         alpha, _, z = _mle(index.suffix_logsum[starts],
                            index.suffix_n[starts], q)
@@ -398,10 +400,11 @@ class TestPrunedScan:
         assert fits == [_exhaustive_fit(s, min_tail) for s in samples]
 
     def test_two_value_tails_and_min_tail_edge(self, pl_tail_sample):
-        positive = np.sort(pl_tail_sample.counts)
+        positive = _distinct(pl_tail_sample.counts, 0)
         best = _exhaustive_fit(positive)
-        samples = [np.array([3] * 30 + [4] * 20), positive,
-                   np.array([7, 7, 9]), np.array([5] * 9)]
+        samples = [_distinct(np.array([3] * 30 + [4] * 20), 0), positive,
+                   _distinct(np.array([7, 7, 9]), 0),
+                   _distinct(np.array([5] * 9), 0)]
         second = []
         for min_tail in (2, best.n_tail, best.n_tail + 1):
             fits = powerlaw_module._fit_each(iter(samples), min_tail, None)
@@ -419,10 +422,70 @@ class TestPrunedScan:
         for chunk, args in (
                 (_gof_chunk, (body, fit.x_min, fit.alpha, counts.size, 3, 50)),
                 (_bootstrap_chunk,
-                 (counts, 3, 50, fit.x_min if fixed else None))):
+                 (_distinct(counts, 0), 3, 50, fit.x_min if fixed else None))):
             whole = chunk((0, 12) + args)
             alone = [x for r in range(12) for x in chunk((r, r + 1) + args)]
             assert whole == alone
+
+
+def _assert_expansion_index(index, tail):
+    """``index`` equals, bit for bit, the tail index built from ``tail``,
+    a sorted expansion of positive values, one element per observation."""
+    values, first, counts = np.unique(tail, return_index=True,
+                                      return_counts=True)
+    suffix_n = tail.size - first
+    logsums = counts * np.log(values.astype(np.float64))
+    expect = {"values": values, "suffix_n": suffix_n,
+              "above": suffix_n - counts,
+              "suffix_logsum": np.cumsum(logsums[::-1])[::-1],
+              "rank": first, "end": np.full(values.size, values.size)}
+    for name in expect:
+        got = getattr(index, name)
+        assert got.dtype == expect[name].dtype, name
+        assert got.tobytes() == expect[name].tobytes(), name
+
+
+# zeros, repeats, and values up to 2**62
+_COUNT_LISTS = st.lists(st.one_of(st.integers(0, 4), st.integers(0, 1 << 62)),
+                        min_size=1, max_size=50)
+
+
+class TestDigest:
+    @given(counts=_COUNT_LISTS, least=st.integers(1, 6))
+    @example(counts=[0, 0], least=1)          # zeros only: no tail
+    @example(counts=[7, 7, 7], least=1)       # a single distinct value
+    @example(counts=[1 << 62, 0, 1 << 62, 3], least=4)
+    @settings(max_examples=300, deadline=None)
+    def test_index_from_the_digest(self, counts, least):
+        counts = np.array(counts, dtype=np.int64)
+        tail = np.sort(counts[counts >= least])
+        if tail.size == 0:
+            with pytest.raises(ValueError, match="empty tail"):
+                _distinct(counts, least)
+        else:
+            _assert_expansion_index(_TailIndex(*_distinct(counts, least)),
+                                    tail)
+
+    @given(counts=_COUNT_LISTS,
+           x_min=st.one_of(st.none(), st.integers(1, 6)),
+           undrawn=st.lists(st.booleans(), max_size=50))
+    @example(counts=[5, 5], x_min=None, undrawn=[])
+    @example(counts=[0, 2, 9], x_min=3, undrawn=[False, False, True])
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_filter_the_digest(self, counts, x_min, undrawn):
+        values, mult = _distinct(np.array(counts, dtype=np.int64), 0)
+        # a value a replicate did not draw keeps multiplicity 0
+        gone = (undrawn + [False] * values.size)[:values.size]
+        mult = np.where(gone, 0, mult)
+        expansion = np.repeat(values, mult)
+        tail = expansion[expansion >= (x_min or 1)]
+        if np.unique(tail).size < 2:
+            reason = "insufficient tail" if x_min is None else "degenerate tail"
+            with pytest.raises(ValueError, match=reason):
+                _candidates(values, mult, 2, x_min)
+        else:
+            _assert_expansion_index(_candidates(values, mult, 2, x_min)[0],
+                                    tail)
 
 
 class TestBootstrap:
@@ -512,6 +575,23 @@ class TestReplicates:
                           workers=2)
         assert pooled == serial
 
+    @pytest.mark.parametrize("zeros,min_tail", [(0, 50), (500, 5_000)],
+                             ids=["heavy", "zeros"])
+    def test_started_pool_bootstraps_like_serial(self, heavy_sample, zeros,
+                                                 min_tail):
+        # with 500 zeros, replicates without a tail cross the pool
+        counts = np.concatenate([heavy_sample.counts, np.zeros(zeros, int)])
+        sample = CitationSample(counts, label="pool")
+        serial, pooled = (fit_power_law(sample, min_tail=min_tail,
+                                        bootstrap_reps=2 * SPAN, seed=4,
+                                        workers=w) for w in (1, 2))
+        assert pooled == serial
+        serial, pooled = (np.array(_replicates(
+            _bootstrap_chunk, (_distinct(counts, 0), 4, min_tail, None),
+            2 * SPAN, w)) for w in (1, 2))
+        assert_array_equal(pooled, serial)
+        assert (np.isnan(serial[:, 0]).sum() > 0) == (zeros > 0)
+
 
 def _stream_digest(sample: CitationSample) -> str:
     counts = np.ascontiguousarray(sample.counts, dtype="<i8")
@@ -569,6 +649,23 @@ class TestSampling:
     ], ids=["powerlaw", "lognormal", "exponential", "powerlaw_cutoff"])
     def test_seeded_streams_pinned(self, draw, digest):
         assert _stream_digest(draw()) == digest
+
+    # Seeded fits must not change under refactoring either.  A deliberate
+    # change of a stream updates these pins and says so.
+    def test_seeded_scan_pinned(self, heavy_sample):
+        fit = fit_power_law(heavy_sample, bootstrap_reps=0)
+        assert (fit.x_min, fit.alpha, fit.ks) == (
+            1, 1.5039143792026501, 0.004734452028348657)
+
+    def test_seeded_gof_pinned(self, heavy_sample):
+        fit = fit_power_law(heavy_sample, bootstrap_reps=0)
+        assert gof_test(heavy_sample, fit, n_sims=40, seed=7).n_exceeding == 37
+
+    def test_seeded_bootstrap_pinned(self, heavy_sample):
+        # one multinomial over the distinct values per replicate
+        fit = fit_power_law(heavy_sample, bootstrap_reps=40, seed=3)
+        assert (fit.alpha_sd, fit.x_min_sd) == (0.007896090563282093,
+                                                1.3528223109958695)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
