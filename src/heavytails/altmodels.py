@@ -19,8 +19,9 @@ from scipy.special import chdtrc, log_ndtr, ndtr, ndtri_exp
 from ._constants import FAMILIES
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _distinct, _mle,
-                       _rejection, _tail_draws, _zeta, _zipf_proposals)
+from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _distinct,
+                       _exponent, _lower_bound, _mle, _rejection, _tail_draws,
+                       _zeta, _zipf_proposals)
 
 __all__ = [
     "FAMILIES",
@@ -364,9 +365,7 @@ def _fit(family: str, values, counts, q: int, anchor=None) -> AltFit:
 
 def fit_alternative(sample: CitationSample, x_min: int, family: str) -> AltFit:
     """MLE of a discretized alternative on the tail x >= x_min."""
-    x_min = int(x_min)
-    if x_min < 1:
-        raise ValueError("x_min must be a positive integer")
+    x_min = _lower_bound(x_min)
     values, counts = np.array(_distinct(sample.counts, x_min), dtype=np.float64)
     return _fit(family, values, counts, x_min)
 
@@ -442,7 +441,9 @@ def _cutoff_draws(alpha: float, rate: float, q: int, n: int, rng) -> np.ndarray:
     Over an envelope x**-b exp(-v x) the target is x**c exp(-d x), c = b -
     alpha and d = rate - v >= 0, whose maximum M is at max(q, c / d) if c > 0
     and at q otherwise.  The acceptance is Z_target / (M Z_envelope), so the
-    envelope with the smaller M Z_envelope is used.
+    envelope with the smaller M Z_envelope is used.  Proposals are clipped
+    to 2**62, and M is taken at or below it: a proposal accepted there makes
+    _as_counts raise, as the target has mass past the integer range.
     """
     beta = max(alpha, 1.0 + 1.0 / np.log(np.e + 1.0 / rate))
     nu = rate / (1.0 + max(0.0, -alpha))
@@ -450,7 +451,7 @@ def _cutoff_draws(alpha: float, rate: float, q: int, n: int, rng) -> np.ndarray:
     for b, v, log_z in ((beta, 0.0, np.log(_zeta(beta, q)[0])),
                         (0.0, nu, -nu * q - np.log(-np.expm1(-nu)))):
         c, d = b - alpha, rate - v
-        peak = max(q, c / d) if c > 0.0 else q
+        peak = min(max(q, c / d), _INT_LIMIT) if c > 0.0 else q
         log_m = c * np.log(peak) - d * peak
         envelopes.append((log_m + log_z, v, c, d, log_m))
     _, v, c, d, log_m = min(envelopes, key=lambda e: e[0])
@@ -460,20 +461,25 @@ def _cutoff_draws(alpha: float, rate: float, q: int, n: int, rng) -> np.ndarray:
             x, ok = _zipf_proposals(beta, q, m, rng)
         else:
             x, ok = q + _geometric(v, rng.random(m)), np.ones(m, dtype=bool)
-        # the target mass past 2**62 underflows: such proposals are rejected
         x = np.minimum(x, _INT_LIMIT)
         keep = np.log1p(-rng.random(m)) <= c * np.log(x) - d * x - log_m
-        return x, ok & keep & (x < _INT_LIMIT)
+        return x, ok & keep
 
     return _as_counts(_rejection(n, propose))
 
 
 def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
-    """Draw n deterministic variates from the discretized family."""
+    """Draw n deterministic variates from the discretized family.
+
+    x_min must be at least 1, and every parameter finite and inside the
+    family's domain.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
+    q = _lower_bound(fit.x_min)
+    if not np.all(np.isfinite(fit.params)):
+        raise ValueError(f"{fit.family} parameters must be finite")
     rng = derived_rng(seed, DOMAIN_SAMPLING, 0)
-    q = fit.x_min
     if fit.family == "exponential":
         rate = fit.params[0]
         if rate <= 0:
@@ -495,9 +501,7 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
         if rate < 0:
             raise ValueError("rate must be nonnegative")
         if rate == 0.0:
-            if alpha <= 1.0:
-                raise ValueError("non-normalizable")
-            x = _tail_draws(alpha, q, int(n), rng)
+            x = _tail_draws(_exponent(alpha), q, int(n), rng)
         else:
             x = _cutoff_draws(alpha, rate, q, int(n), rng)
     pretty = ",".join(f"{p:g}" for p in fit.params)

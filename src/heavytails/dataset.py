@@ -90,7 +90,8 @@ class CitationSample:
 
     @property
     def n_citations(self) -> int:
-        return int(self._counts.sum())
+        # exact: each count is below 2**63, but their sum need not be
+        return sum(self._counts.tolist())
 
     def tail(self, x_min: int) -> np.ndarray:
         """Counts at or above ``x_min`` (read-only)."""

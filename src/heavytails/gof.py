@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._constants import DEFAULT_SIMS
 from ._rng import DOMAIN_GOF, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _distinct, _fit_each,
-                       _replicates, _tail_draws, ks_distance)
+from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _distinct, _replicates,
+                       _tail_draws, ks_distance)
 
 __all__ = ["GofResult", "required_sims", "gof_test", "RULE_OUT_THRESHOLD",
            "DEFAULT_SIMS"]
@@ -50,20 +51,16 @@ def required_sims(epsilon: float) -> int:
     return max(1, math.ceil(1.0 / (4.0 * epsilon * epsilon)))
 
 
-def _gof_chunk(args) -> list[float]:
-    start, stop, body, x_min, alpha, n, seed, min_tail = args
-    p_tail = 1.0 - body.size / n
-
-    def synthetic(r):
-        rng = derived_rng(seed, DOMAIN_GOF, r)
-        n_tail = int(rng.binomial(n, p_tail))
-        return _distinct(np.concatenate([
-            _tail_draws(alpha, x_min, n_tail, rng),
-            body[rng.integers(0, body.size, size=n - n_tail)]]), 0)
-
-    fits = _fit_each(map(synthetic, range(start, stop)), min_tail, None)
-    # a synthetic draw without an admissible tail is scored as exceeding
-    return [np.inf if fit is None else fit.ks for fit in fits]
+def _synthetic(body: np.ndarray, x_min: int, alpha: float, n: int,
+               seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digest of synthetic sample r: n observations, each drawn from the
+    fitted power law with probability 1 - body.size / n and otherwise
+    resampled uniformly from ``body``, the values below x_min."""
+    rng = derived_rng(seed, DOMAIN_GOF, r)
+    n_tail = int(rng.binomial(n, 1.0 - body.size / n))
+    return _distinct(np.concatenate([
+        _tail_draws(alpha, x_min, n_tail, rng),
+        body[rng.integers(0, body.size, size=n - n_tail)]]), 0)
 
 
 def gof_test(sample: CitationSample, fit: PowerLawFit,
@@ -74,22 +71,26 @@ def gof_test(sample: CitationSample, fit: PowerLawFit,
 
     ``fit`` must have been produced from ``sample``; the empirical KS is
     recomputed and compared against ``fit.ks`` to catch stale pairings.
-    The result is identical for any ``workers`` count.
+    Each synthetic sample is refit, x_min scan included, with ``min_tail``;
+    one without a usable tail counts as exceeding the empirical KS.  The
+    result is identical for any ``workers`` count.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be at least 1")
     recomputed = ks_distance(sample, fit.model())
-    if abs(recomputed - fit.ks) > 1e-12:
+    # a NaN on either side is stale too
+    if not abs(recomputed - fit.ks) <= 1e-12:
         raise ValueError("stale fit")
 
     counts = sample.counts
-    n = counts.size
     body = counts[counts < fit.x_min]
-    ks_values = _replicates(_gof_chunk,
-                            (body, fit.x_min, fit.alpha, n, seed, min_tail),
-                            n_sims, workers)
+    fits = _replicates(partial(_synthetic, body, fit.x_min, fit.alpha,
+                               counts.size, seed),
+                       n_sims, workers, min_tail, None)
+    # a synthetic draw without an admissible tail is scored as exceeding
+    ks_values = np.array([np.inf if f is None else f.ks for f in fits])
 
-    n_exceeding = int(np.sum(np.asarray(ks_values) >= fit.ks))
+    n_exceeding = int(np.sum(ks_values >= fit.ks))
     p_value = n_exceeding / n_sims
     return GofResult(ks_empirical=fit.ks, n_sims=n_sims,
                      n_exceeding=n_exceeding, p_value=p_value,

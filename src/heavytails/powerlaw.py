@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -107,15 +108,32 @@ def _zeta_chunk(s: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
         out[2] += e * (f2 + lg * (2.0 * f1 + lg * f))
 
 
+def _exponent(alpha) -> float:
+    """alpha as a float; ValueError unless it is finite and above 1, where
+    the power law is normalizable."""
+    alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if alpha <= 1.0:
+        raise ValueError("non-normalizable")
+    return alpha
+
+
+def _lower_bound(x_min) -> int:
+    """x_min as an int; ValueError unless it is at least 1."""
+    x_min = int(x_min)
+    if x_min < 1:
+        raise ValueError("x_min must be a positive integer")
+    return x_min
+
+
 def hurwitz_zeta(alpha: float, q: int) -> float:
     """Sum of (k + q)**(-alpha) over k = 0, 1, 2, ...
 
     Absolute error is below 1e-12 for alpha > 1.  Raises for alpha <= 1,
-    where the series diverges.
+    where the series diverges, and for a non-finite alpha.
     """
-    alpha = float(alpha)
-    if alpha <= 1.0:
-        raise ValueError("non-normalizable")
+    alpha = _exponent(alpha)
     q = int(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
@@ -124,18 +142,14 @@ def hurwitz_zeta(alpha: float, q: int) -> float:
 
 @dataclass(frozen=True, slots=True)
 class DiscretePowerLaw:
-    """Power law on integer support x >= x_min with exponent alpha > 1."""
+    """Power law on integers x >= x_min with a finite exponent alpha > 1."""
 
     x_min: int
     alpha: float
 
     def __post_init__(self):
-        if int(self.x_min) < 1:
-            raise ValueError("x_min must be a positive integer")
-        if self.alpha <= 1.0:
-            raise ValueError("non-normalizable")
-        object.__setattr__(self, "x_min", int(self.x_min))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "x_min", _lower_bound(self.x_min))
+        object.__setattr__(self, "alpha", _exponent(self.alpha))
 
     @property
     def normalizer(self) -> float:
@@ -372,9 +386,7 @@ def _candidates(values: np.ndarray, counts: np.ndarray, min_tail: int,
     ``x_min`` alone.  Raises ValueError when there is none.
     """
     if x_min is not None:
-        x_min = int(x_min)
-        if x_min < 1:
-            raise ValueError("x_min must be a positive integer")
+        x_min = _lower_bound(x_min)
     # zeros stay in the sample for descriptive statistics but never enter a
     # tail: log x is undefined at 0.  A value a replicate did not draw has
     # multiplicity 0.
@@ -393,17 +405,17 @@ def _candidates(values: np.ndarray, counts: np.ndarray, min_tail: int,
     return index, np.zeros(1, dtype=np.intp), np.array([x_min])
 
 
-def _fit_each(digests, min_tail: int,
+def _fit_each(draw, replicates, min_tail: int,
               x_min: int | None) -> list[PowerLawFit | None]:
-    """The best fit of each sample, given as its digest (values, counts), in
-    order; None for a sample without a usable tail.
+    """The best fit of each replicate r in ``replicates``, given as its
+    digest ``draw(r)``, in order; None for one without a usable tail.
 
-    ``digests`` may be a generator: only each sample's tail index is kept.
-    Samples are solved together, about _SPAN_VALUES distinct values at a time.
+    Only each replicate's tail index is kept.  Replicates are solved
+    together, about _SPAN_VALUES distinct values at a time.
     """
     fits, batch, slots = [], [], []
     held = 0
-    for values, counts in digests:
+    for values, counts in map(draw, replicates):
         try:
             batch.append(_candidates(values, counts, min_tail, x_min))
         except ValueError:
@@ -451,45 +463,36 @@ def ks_distance(sample: CitationSample, model: DiscretePowerLaw) -> float:
     return float(ks[0])
 
 
-def _replicates(chunk_fn, args: tuple, total: int, workers: int) -> list:
-    """Results of replicates 0..total-1, in replicate order.
+def _replicates(draw, total: int, workers: int, min_tail: int,
+                x_min: int | None) -> list[PowerLawFit | None]:
+    """_fit_each over replicates 0..total-1: their fits, or None, in order.
 
-    ``chunk_fn((start, stop) + args)`` returns the results of one span of
-    replicates.  A span holds at least _SPAN_MIN replicates, so a job of
-    fewer than 2 _SPAN_MIN runs in process.  Each replicate seeds itself from
-    (seed, domain, r), so neither the spans nor the worker count can change
-    a result.
+    Spans of at least _SPAN_MIN replicates go to up to ``workers``
+    processes, so ``draw`` must pickle, and a job of fewer than 2 _SPAN_MIN
+    runs in process.  Each draw seeds itself from (seed, domain, r), so
+    neither the spans nor the worker count can change a result.
     """
     parts = workers * 4 if workers > 1 else 1
     spans = max(1, min(parts, total // _SPAN_MIN))
     edges = np.linspace(0, total, spans + 1).astype(int)
-    jobs = [(int(a), int(b)) + args
-            for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    jobs = [range(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    solve = partial(_fit_each, draw, min_tail=min_tail, x_min=x_min)
     # the fork start method launches every requested process up front
     procs = min(workers, len(jobs), os.cpu_count() or 1)
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            chunks = list(pool.map(chunk_fn, jobs))
+            chunks = list(pool.map(solve, jobs))
     else:
-        chunks = [chunk_fn(job) for job in jobs]
-    return [result for chunk in chunks for result in chunk]
+        chunks = [solve(job) for job in jobs]
+    return [fit for chunk in chunks for fit in chunk]
 
 
-def _bootstrap_chunk(args) -> list[tuple[float, float]]:
-    start, stop, (values, counts), seed, min_tail, fixed_x_min = args
-    n = int(counts.sum())
-    p = counts / n
-
-    def resample(r):
-        # n draws with replacement, as multiplicities of the distinct values
-        rng = derived_rng(seed, DOMAIN_BOOTSTRAP, r)
-        return values, rng.multinomial(n, p)
-
-    fits = _fit_each(map(resample, range(start, stop)), min_tail, fixed_x_min)
-    # a replicate without a usable tail carries no estimate
-    return [(np.nan, np.nan) if fit is None else (fit.alpha, float(fit.x_min))
-            for fit in fits]
+def _resample(values, p, n: int, seed: int, r: int) -> tuple:
+    """Bootstrap replicate r: n draws with replacement from a sample whose
+    distinct values have shares ``p``, as their multiplicities."""
+    rng = derived_rng(seed, DOMAIN_BOOTSTRAP, r)
+    return values, rng.multinomial(n, p)
 
 
 def fit_power_law(sample: CitationSample, *,
@@ -506,22 +509,26 @@ def fit_power_law(sample: CitationSample, *,
     are standard deviations over ``bootstrap_reps`` refits of replicates,
     each n draws with replacement from the sample, taken as one multinomial
     over its distinct values (``bootstrap_reps=0`` skips the bootstrap and
-    reports 0.0).
+    reports 0.0).  A replicate without a usable tail carries no estimate,
+    and the SDs stay 0.0 unless at least two replicates have one.  The
+    result is identical for any ``workers`` count.
     """
     counts = sample.counts
     # a pinned x_min takes its tail's digest, which is empty past the data
     main = _fit(*_distinct(counts, x_min or 0), min_tail, x_min)
 
     if bootstrap_reps > 0:
-        pairs = _replicates(_bootstrap_chunk,
-                            (_distinct(counts, 0), seed, min_tail, x_min),
-                            bootstrap_reps, workers)
-        alphas = np.array([p[0] for p in pairs])
-        xmins = np.array([p[1] for p in pairs])
-        valid = ~np.isnan(alphas)
-        if valid.sum() >= 2:
-            main = replace(main, alpha_sd=float(np.std(alphas[valid], ddof=1)),
-                           x_min_sd=float(np.std(xmins[valid], ddof=1)))
+        values, mult = _distinct(counts, 0)
+        n = counts.size
+        fits = _replicates(partial(_resample, values, mult / n, n, seed),
+                           bootstrap_reps, workers, min_tail, x_min)
+        # a replicate without a usable tail carries no estimate
+        valid = [fit for fit in fits if fit is not None]
+        if len(valid) >= 2:
+            alphas = np.array([fit.alpha for fit in valid])
+            xmins = np.array([float(fit.x_min) for fit in valid])
+            main = replace(main, alpha_sd=float(np.std(alphas, ddof=1)),
+                           x_min_sd=float(np.std(xmins, ddof=1)))
     return main
 
 

@@ -66,8 +66,10 @@ def scaling_fit(points: Sequence[ScalingPoint]) -> ScalingFit:
     """Ordinary least squares in log-log space over subfield points."""
     if len(points) < 3:
         raise ValueError("need at least 3 points")
-    x = np.log10([p.size for p in points])
-    y = np.log10([p.cbp for p in points])
+    # float(v) rounds as numpy's int64 and uint64 casts do, and it also
+    # takes sums past 2**64, which numpy would hold as Python objects
+    x = np.log10([float(p.size) for p in points])
+    y = np.log10([float(p.cbp) for p in points])
     xc = x - x.mean()
     sxx = float(np.sum(xc * xc))
     if sxx == 0.0:

@@ -402,3 +402,8 @@ class TestSampleAlternative:
         with pytest.raises(ValueError, match="non-normalizable"):
             sample_alternative(
                 AltFit("powerlaw_cutoff", (0.9, 0.0), 1, 0.0), 5, 1)
+        with pytest.raises(ValueError, match="x_min must be a positive"):
+            sample_alternative(AltFit("exponential", (0.5,), 0, 0.0), 5, 1)
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            sample_alternative(
+                AltFit("powerlaw_cutoff", (1.5, np.nan), 1, 0.0), 5, 1)

@@ -127,6 +127,41 @@ class TestSimulate:
             "error: sampled value exceeds the integer range")
         assert not path.exists()
 
+    @pytest.mark.parametrize("family, given, message", [
+        ("powerlaw", ["--alpha", "nan"], "alpha must be finite"),
+        ("powerlaw", ["--alpha", "inf"], "alpha must be finite"),
+        ("powerlaw_cutoff", ["--alpha", 1.5, "--rate", 0.01, "--xmin", -3],
+         "x_min must be a positive integer"),
+        ("powerlaw_cutoff", ["--alpha", 1.5, "--rate", 0.01, "--xmin", 0],
+         "x_min must be a positive integer"),
+        ("lognormal", ["--mu", 1, "--sigma", 1, "--xmin", 0],
+         "x_min must be a positive integer"),
+        ("lognormal", ["--mu", "nan", "--sigma", 1],
+         "lognormal parameters must be finite"),
+        ("lognormal", ["--mu", 1, "--sigma", "nan"],
+         "lognormal parameters must be finite"),
+        ("exponential", ["--rate", "nan"],
+         "exponential parameters must be finite"),
+        ("exponential", ["--rate", 0.5, "--xmin", 0],
+         "x_min must be a positive integer"),
+        # nearly all of the target's mass lies past 2**62
+        ("powerlaw_cutoff", ["--alpha", 0.5, "--rate", 1e-300],
+         "sampled value exceeds the integer range; the tail is too heavy "
+         "for exact inversion"),
+    ], ids=["powerlaw-nan", "powerlaw-inf", "cutoff-xmin-neg", "cutoff-xmin-0",
+            "lognormal-xmin-0", "lognormal-mu-nan", "lognormal-sigma-nan",
+            "exponential-nan", "exponential-xmin-0", "cutoff-rate-tiny"])
+    def test_bad_model_rejected_promptly(self, tmp_path, family, given,
+                                         message):
+        # in a fresh interpreter with a timeout: some of these once hung
+        path = tmp_path / "x.txt"
+        proc = fresh_process("heavytails.cli", "simulate", "--family",
+                             family, *given, "--n", 5, "--output", path,
+                             module=True, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize("family, given, missing", [
         ("powerlaw", [], "--alpha"),
         ("lognormal", ["--mu", 1.0], "--sigma"),
@@ -355,6 +390,32 @@ class TestScalingCommand:
         assert not (out / "scatter_overall.csv").exists()
         doc = json.loads((out / "scaling.json").read_text())
         assert list(doc["modes"]) == ["single"]
+
+    def test_subfield_sums_past_int64(self, tmp_path):
+        # three rows at the largest count in one subfield: ingest sums them
+        # exactly, to more than 2**64, and scaling takes their logs
+        big = 2 ** 63 - 1
+        rows = [EXPORT_HEADER]
+        for journal, cites in (("J1", [big, big, big]), ("J2", [4, 9]),
+                               ("J3", [50, 70, 30, 8])):
+            for i, c in enumerate(cites):
+                authors = "Solo, S" if i % 2 else "A, A; B, B"
+                rows.append(export_row(f"WOS:{len(rows):03d}", authors,
+                                       journal, citations=c))
+        (tmp_path / "export.tsv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "map.csv").write_text(
+            "journal,field,subfield\nj1,f,s1\nj2,f,s2\nj3,f,s3\n")
+        out = tmp_path / "out"
+        assert run("ingest", "--input", tmp_path / "export.tsv", "--map",
+                   tmp_path / "map.csv", "--outdir", out) == 0
+        assert "\t27670116110564327421\t" in \
+            (out / "aggregates.tsv").read_text()
+        assert run("scaling", "--input", out / "aggregates.tsv",
+                   "--outdir", out) == 0
+        doc = json.loads((out / "scaling.json").read_text())
+        validate_document(doc)
+        assert [doc["modes"][m]["n_points"] for m in
+                ("overall", "collaboration", "single")] == [3, 3, 3]
 
     def test_too_few_points_fails(self, tmp_path, capsys):
         aggs = [SubfieldAggregate("a", "f", 10, 5, 5, 100, 60, 40),
@@ -771,17 +832,23 @@ class TestReportCommand:
         assert captured.out == ""
 
 
-def fresh_python(code, *args, cwd=None, module=False):
+def fresh_process(code, *args, cwd=None, module=False, timeout=None):
     """Run ``code`` (or, with ``module``, the module it names) in a fresh
-    interpreter, with the package under test first on the path; return its
-    standard output."""
+    interpreter, with the package under test first on the path; return the
+    finished process.  Past ``timeout`` seconds it is killed and the call
+    raises."""
     env = dict(os.environ)
     root = str(Path(heavytails.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (root, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m" if module else "-c", code,
-                           *map(str, args)],
-                          env=env, cwd=cwd, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m" if module else "-c", code,
+                           *map(str, args)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def fresh_python(code, *args, cwd=None, module=False):
+    """Run ``code`` as fresh_process does; return its standard output."""
+    proc = fresh_process(code, *args, cwd=cwd, module=module)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

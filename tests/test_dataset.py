@@ -49,6 +49,11 @@ class TestCitationSample:
         big = CitationSample([2 ** 63 - 1, 3], label="big")
         assert big.counts.tolist() == [3, 2 ** 63 - 1]
 
+    def test_citation_total_is_exact_past_int64(self):
+        big = CitationSample([2 ** 62, 2 ** 62, 3], label="big")
+        assert big.n_citations == 2 ** 63 + 3
+        assert summarize(big).n_citations == 2 ** 63 + 3
+
 
 class TestSummarize:
     def test_median_even_sample(self):

@@ -1,5 +1,8 @@
 """Tests for the Monte Carlo goodness-of-fit machinery."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,6 +80,14 @@ class TestGofTest:
         fit = fit_power_law(pl_tail_sample, bootstrap_reps=0)
         with pytest.raises(ValueError, match="stale fit"):
             gof_test(pl_sample, fit, n_sims=10, seed=0)
+
+    def test_nan_fit_rejected(self, pl_tail_sample):
+        # a NaN alpha once drew synthetic tails forever
+        fit = fit_power_law(pl_tail_sample, bootstrap_reps=0)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            gof_test(pl_tail_sample, replace(fit, alpha=math.nan), n_sims=10)
+        with pytest.raises(ValueError, match="stale fit"):
+            gof_test(pl_tail_sample, replace(fit, ks=math.nan), n_sims=10)
 
     def test_rejects_bad_sims(self, pl_tail_sample):
         fit = fit_power_law(pl_tail_sample, bootstrap_reps=0)

@@ -6,6 +6,7 @@ import math
 import os
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-import heavytails.gof as gof_module
 import heavytails.powerlaw as powerlaw_module
 from heavytails import (
     AltFit,
@@ -28,10 +28,10 @@ from heavytails import (
     sample_alternative,
     sample_power_law,
 )
-from heavytails.gof import _gof_chunk
-from heavytails.powerlaw import (PowerLawFit, _bootstrap_chunk, _candidates,
-                                 _distinct, _ks, _mle, _replicates,
-                                 _TailIndex, _zeta)
+from heavytails.gof import _synthetic
+from heavytails.powerlaw import (PowerLawFit, _candidates, _distinct, _ks,
+                                 _mle, _replicates, _resample, _TailIndex,
+                                 _zeta)
 
 mpmath.mp.dps = 30
 
@@ -81,6 +81,13 @@ class TestHurwitzZeta:
             hurwitz_zeta(1.0, 1)
         with pytest.raises(ValueError, match="non-normalizable"):
             hurwitz_zeta(0.3, 5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            hurwitz_zeta(alpha, 1)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            DiscretePowerLaw(1, alpha)
 
 
 class TestDiscretePowerLaw:
@@ -308,14 +315,13 @@ def span_solves(monkeypatch):
     solves = []
     real = powerlaw_module._fit_each
 
-    def recording(samples, min_tail, x_min):
-        samples = list(samples)
-        fits = real(iter(samples), min_tail, x_min)
+    def recording(draw, replicates, min_tail, x_min):
+        samples = [draw(r) for r in replicates]
+        fits = real(samples.__getitem__, range(len(samples)), min_tail, x_min)
         solves.append((samples, min_tail, fits))
         return fits
 
     monkeypatch.setattr(powerlaw_module, "_fit_each", recording)
-    monkeypatch.setattr(gof_module, "_fit_each", recording)
     return solves
 
 
@@ -407,7 +413,9 @@ class TestPrunedScan:
                    _distinct(np.array([5] * 9), 0)]
         second = []
         for min_tail in (2, best.n_tail, best.n_tail + 1):
-            fits = powerlaw_module._fit_each(iter(samples), min_tail, None)
+            fits = powerlaw_module._fit_each(samples.__getitem__,
+                                             range(len(samples)), min_tail,
+                                             None)
             assert fits == [_exhaustive_fit(s, min_tail) for s in samples]
             assert fits[-1] is None
             second.append(fits[1])
@@ -419,12 +427,15 @@ class TestPrunedScan:
         counts = heavy_sample.counts
         fit = fit_power_law(heavy_sample, bootstrap_reps=0)
         body = counts[counts < fit.x_min]
-        for chunk, args in (
-                (_gof_chunk, (body, fit.x_min, fit.alpha, counts.size, 3, 50)),
-                (_bootstrap_chunk,
-                 (_distinct(counts, 0), 3, 50, fit.x_min if fixed else None))):
-            whole = chunk((0, 12) + args)
-            alone = [x for r in range(12) for x in chunk((r, r + 1) + args)]
+        values, mult = _distinct(counts, 0)
+        n = counts.size
+        for draw, x_min in (
+                (partial(_synthetic, body, fit.x_min, fit.alpha, n, 3), None),
+                (partial(_resample, values, mult / n, n, 3),
+                 fit.x_min if fixed else None)):
+            whole = _replicates(draw, 12, 1, 50, x_min)
+            alone = [x for r in range(12) for x in powerlaw_module._fit_each(
+                draw, range(r, r + 1), 50, x_min)]
             assert whole == alone
 
 
@@ -507,9 +518,13 @@ class TestBootstrap:
         assert a.alpha_sd != b.alpha_sd
 
 
-def _replicate_ids(args):
-    start, stop, tag = args
-    return [(tag, r) for r in range(start, stop)]
+def _replicate_ids(tag, r):
+    return tag, r
+
+
+def _draws(draw, replicates, min_tail, x_min):
+    """A stand-in span solver: each replicate's draw itself."""
+    return [draw(r) for r in replicates]
 
 
 @pytest.fixture()
@@ -554,7 +569,9 @@ class TestReplicates:
     def test_pool_size_is_bounded(self, monkeypatch, pool_sizes,
                                   workers, total, cores, pool):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        out = _replicates(_replicate_ids, ("t",), total, workers)
+        monkeypatch.setattr(powerlaw_module, "_fit_each", _draws)
+        out = _replicates(partial(_replicate_ids, "t"), total, workers, 0,
+                          None)
         assert out == [("t", r) for r in range(total)]
         assert pool_sizes == ([] if pool is None else [pool])
 
@@ -575,6 +592,22 @@ class TestReplicates:
                           workers=2)
         assert pooled == serial
 
+    def test_started_pool_scores_tailless_sims_like_serial(self,
+                                                           heavy_sample):
+        # with 500 zeros in the body, about half the synthetic draws have
+        # fewer positive values than min_tail, and their None fits cross
+        # the pool
+        counts = np.concatenate([heavy_sample.counts, np.zeros(500, int)])
+        sample = CitationSample(counts, label="zeros")
+        fit = fit_power_law(sample, min_tail=5_000, bootstrap_reps=0)
+        draw = partial(_synthetic, counts[counts < fit.x_min], fit.x_min,
+                       fit.alpha, counts.size, 4)
+        assert None in _replicates(draw, 2 * SPAN, 1, 5_000, None)
+        serial, pooled = (gof_test(sample, fit, n_sims=2 * SPAN, seed=4,
+                                   workers=w, min_tail=5_000)
+                          for w in (1, 2))
+        assert pooled == serial
+
     @pytest.mark.parametrize("zeros,min_tail", [(0, 50), (500, 5_000)],
                              ids=["heavy", "zeros"])
     def test_started_pool_bootstraps_like_serial(self, heavy_sample, zeros,
@@ -586,9 +619,12 @@ class TestReplicates:
                                         bootstrap_reps=2 * SPAN, seed=4,
                                         workers=w) for w in (1, 2))
         assert pooled == serial
-        serial, pooled = (np.array(_replicates(
-            _bootstrap_chunk, (_distinct(counts, 0), 4, min_tail, None),
-            2 * SPAN, w)) for w in (1, 2))
+        values, mult = _distinct(counts, 0)
+        draw = partial(_resample, values, mult / counts.size, counts.size, 4)
+        serial, pooled = (np.array([
+            (np.nan, np.nan) if fit is None else (fit.alpha, float(fit.x_min))
+            for fit in _replicates(draw, 2 * SPAN, w, min_tail, None)])
+            for w in (1, 2))
         assert_array_equal(pooled, serial)
         assert (np.isnan(serial[:, 0]).sum() > 0) == (zeros > 0)
 
