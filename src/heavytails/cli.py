@@ -5,7 +5,7 @@ documents and plot CSVs go to files; human tables come from `report`;
 progress notes go to stderr so data streams stay clean.  All randomness
 flows from --seed, and results are identical for any --threads value.
 Each command imports the package modules it runs, when it runs, so that
-`report` and `--version` start without numpy or scipy.
+`scaling`, `report` and `--version` run without numpy or scipy.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 A :class:`CitationSample` is the unit every fitting routine operates on: a
 labelled, immutable multiset of per-paper citation counts.  Aggregates carry
 the per-subfield paper/citation totals split by collaboration class that the
-scaling regressions consume.
+scaling regressions consume.  numpy is imported by the code that uses it, so
+reading aggregates loads none.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import statistics
 from dataclasses import astuple, dataclass, fields
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CitationSample",
@@ -55,6 +57,8 @@ class CitationSample:
     __slots__ = ("_label", "_counts")
 
     def __init__(self, counts: Iterable[int], label: str = ""):
+        import numpy as np
+
         arr = np.asarray(list(counts) if not isinstance(counts, np.ndarray) else counts)
         if arr.size == 0:
             raise ValueError("empty dataset")
@@ -205,6 +209,8 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
     endings are accepted.  A count is written in ASCII digits only and is
     below 2**63.
     """
+    import numpy as np
+
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline=None) as fh:
         lines = fh.read().split("\n")
@@ -241,6 +247,8 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
 def write_counts(path: str | Path, counts: Iterable[int],
                  header: Iterable[str] = ()) -> None:
     """Write counts one per line; header lines are emitted as ``#`` comments."""
+    import numpy as np
+
     if isinstance(counts, np.ndarray):
         counts = counts.tolist()  # Python ints format faster than numpy's
     lines = [f"# {line}\n" for line in header]

@@ -80,6 +80,10 @@ def _zeta_chunk(s: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
             out[1, near] = np.sum(term * neg_log, axis=1)
             out[2, near] = np.sum(term * neg_log * neg_log, axis=1)
     a = np.where(near, q + _EM_TERMS, q)
+    # where a**(1-s) underflows the rest adds exactly 0; a tame s there
+    # keeps the Horner factors below, which overflow for huge s, finite
+    e1 = a ** (1.0 - s)
+    s = np.where(e1 == 0.0, 2.0, s)
     # The rest is a**-s F(s), F = a/(s-1) + 1/2 + (s/a) h with
     # h = sum_j c_j (r_j(s)/s) w**j, w = 1/a**2, r_j(s) = s (s+1) ... (s+2j).
     # Horner gives h (and h', h''); r_j / r_(j-1) = p = (s+2j-1)(s+2j).
@@ -95,7 +99,6 @@ def _zeta_chunk(s: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
     inv = 1.0 / (s - 1.0)
     # a**-s F = a**(1-s) (1/(s-1) + (1/2 + (s/a) h) / a): one rounded power
     # and factors that each fall with a, so the value never rises with q
-    e1 = a ** (1.0 - s)
     out[0] += e1 * (inv + (0.5 + s * h / a) / a)
     if derivs:
         e = e1 / a

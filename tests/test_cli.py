@@ -162,6 +162,16 @@ class TestSimulate:
         assert proc.stderr == f"error: {message}\n"
         assert not path.exists()
 
+    def test_huge_cutoff_exponent_warns_nothing(self, tmp_path):
+        # the Zipf envelope's zeta at s = 1e300 once printed two warnings
+        path = tmp_path / "x.txt"
+        proc = fresh_process("heavytails.cli", "simulate", "--family",
+                             "powerlaw_cutoff", "--alpha", 1e300, "--rate", 1,
+                             "--n", 5, "--output", path, module=True,
+                             timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert read_counts(path).counts.tolist() == [1] * 5
+
     @pytest.mark.parametrize("family, given, missing", [
         ("powerlaw", [], "--alpha"),
         ("lognormal", ["--mu", 1.0], "--sigma"),
@@ -919,14 +929,32 @@ class TestImports:
         # scipy.special imports concurrent.futures itself
         (["compare", "--input", "counts.txt", "--outdir", "out"],
          ["numpy", "scipy", "concurrent.futures"]),
-        (["scaling", "--input", "aggregates.tsv", "--outdir", "out"],
-         ["numpy", "scipy", "concurrent.futures"]),
+        (["scaling", "--input", "aggregates.tsv", "--outdir", "out"], []),
     ], ids=["version", "report", "simulate", "simulate-lognormal", "fit",
             "fit-threads", "gof", "ingest", "compare", "scaling"])
     def test_command_imports_only_what_it_runs(self, workdir, argv, loaded):
         out = fresh_python(COMMAND_PROBE, "numpy,scipy,concurrent.futures",
                            *argv, cwd=workdir)
         assert json.loads(out.splitlines()[-1]) == [0, loaded]
+
+    def test_reading_aggregates_loads_no_numpy(self, workdir):
+        probe = ("import sys\nfrom heavytails.dataset import read_aggregates\n"
+                 "assert len(read_aggregates(sys.argv[1])) == 6\n"
+                 "print('numpy' in sys.modules)")
+        assert fresh_python(probe, workdir / "aggregates.tsv").strip() == "False"
+
+    def test_counts_work_before_numpy_is_loaded(self, tmp_path):
+        # dataset imports numpy inside the functions that use it
+        probe = ("import sys\n"
+                 "from heavytails.dataset import CitationSample, read_counts, "
+                 "write_counts\n"
+                 "assert 'numpy' not in sys.modules\n"
+                 "write_counts(sys.argv[1], [3, 1, 1, 7], header=['h'])\n"
+                 "print(list(CitationSample([2, 0, 2], 'x')), "
+                 "list(read_counts(sys.argv[1])))")
+        out = fresh_python(probe, tmp_path / "c.txt")
+        assert out.strip() == "[0, 2, 2] [1, 1, 3, 7]"
+        assert (tmp_path / "c.txt").read_text() == "# h\n3\n1\n1\n7\n"
 
     # documents imports dataclasses only when it builds a document: at
     # module level it would also load inspect

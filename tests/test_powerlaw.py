@@ -76,6 +76,15 @@ class TestHurwitzZeta:
             assert_array_equal(_zeta(s[i], q[i], derivs=True), batch[:, i])
         assert_array_equal(_zeta(s, q)[0], batch[0])
 
+    def test_huge_exponent_drops_the_remainder(self):
+        # (q + 64)**(1 - s) underflows, and the Euler-Maclaurin rest with
+        # it; its Horner factors would overflow, and 0 * inf once gave NaN
+        assert hurwitz_zeta(1e300, 1) == 1.0
+        assert hurwitz_zeta(1e300, 3) == 0.0
+        got = _zeta([1e300, 1e300, 1e5], [1.0, 70.0, 1.0], derivs=True)
+        assert_array_equal(got, [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0]])
+
     def test_nonnormalizable_rejected(self):
         with pytest.raises(ValueError, match="non-normalizable"):
             hurwitz_zeta(1.0, 1)
