@@ -4,7 +4,14 @@ Each is defined here once and re-exported from the module that uses it:
 `altmodels`, `scaling`, `powerlaw`, `gof` and `ingest`.
 """
 
-FAMILIES = ("lognormal", "exponential", "powerlaw_cutoff")
+# alternative family -> its parameter names, in the order AltFit.params
+# holds them
+FAMILY_PARAMS = {
+    "lognormal": ("mu", "sigma"),
+    "exponential": ("rate",),
+    "powerlaw_cutoff": ("alpha", "rate"),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 MODES = ("overall", "collaboration", "single")
 DEFAULT_MIN_TAIL = 50
 DEFAULT_BOOTSTRAP_REPS = 1000

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, log_ndtr, ndtr, ndtri_exp
 
-from ._constants import FAMILIES
+from ._constants import FAMILIES, FAMILY_PARAMS
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
 from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _distinct,
@@ -476,6 +476,12 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if fit.family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family: {fit.family!r}")
+    names = FAMILY_PARAMS[fit.family]
+    if len(fit.params) != len(names):
+        raise ValueError(f"{fit.family} takes ({', '.join(names)}), "
+                         f"got {fit.params}")
     q = _lower_bound(fit.x_min)
     if not np.all(np.isfinite(fit.params)):
         raise ValueError(f"{fit.family} parameters must be finite")

@@ -5,7 +5,7 @@ documents and plot CSVs go to files; human tables come from `report`;
 progress notes go to stderr so data streams stay clean.  All randomness
 flows from --seed, and results are identical for any --threads value.
 Each command imports the package modules it runs, when it runs, so that
-`scaling`, `report` and `--version` run without numpy or scipy.
+`ingest`, `scaling`, `report` and `--version` run without numpy or scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import documents
 from ._constants import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL,
-                         DEFAULT_SIMS, FAMILIES, MODES)
+                         DEFAULT_SIMS, FAMILIES, FAMILY_PARAMS, MODES)
 from ._version import __version__
 from .report import render
 
@@ -26,12 +26,7 @@ __all__ = ["build_parser", "main", "entry"]
 
 # simulate family -> its parameter flags, in the order the model takes them
 # and the recorded command lists them
-_SIM_PARAMS = {
-    "powerlaw": ("alpha",),
-    "lognormal": ("mu", "sigma"),
-    "exponential": ("rate",),
-    "powerlaw_cutoff": ("alpha", "rate"),
-}
+_SIM_PARAMS = {"powerlaw": ("alpha",), **FAMILY_PARAMS}
 
 # record field -> its ingest flag, --col-<flag>
 _COLUMN_FLAGS = {
@@ -329,27 +324,26 @@ def _cmd_ingest(args) -> None:
               file=sys.stderr)
     with open(args.map, "r", encoding="utf-8-sig", newline=None) as fh:
         classification = read_classification(fh)
-    aggregates, unmapped, mapped = kept.tally(classification)
+    # counts files cover the same corpus as the aggregates: mapped journals
+    aggregates, unmapped, modes = kept.tally(classification)
     rejections = sorted(rejections + unmapped)
-    # counts samples cover the same corpus as the aggregates: mapped journals
-    samples = kept.samples(mapped)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     write_aggregates(args.outdir / "aggregates.tsv", aggregates)
     _write_csv(args.outdir / "rejections.tsv", "row\treason", rejections,
                sep="\t")
     command = _recorded(args, _RECORDED["ingest"])
-    for mode, sample in samples.items():
-        write_counts(args.outdir / f"counts_{mode}.txt", sample.counts,
+    for mode, values in modes.items():
+        write_counts(args.outdir / f"counts_{mode}.txt", sorted(values),
                      [f"heavytails {__version__}", f"command: {command}",
                       f"mode: {mode}"])
     doc = documents.ingest_document(
         command=command, seed=args.seed,
         input_digest=documents.file_digest(args.input),
         map_digest=documents.file_digest(args.map),
-        n_records=mapped.count(1), n_rejections=len(rejections),
-        n_subfields=len(aggregates),
-        mode_counts={mode: len(s) for mode, s in samples.items()})
+        n_records=len(modes.get("overall", ())),
+        n_rejections=len(rejections), n_subfields=len(aggregates),
+        mode_counts={mode: len(values) for mode, values in modes.items()})
     documents.write_document(doc, args.outdir / "ingest.json")
 
 

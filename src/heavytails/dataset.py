@@ -4,11 +4,12 @@ A :class:`CitationSample` is the unit every fitting routine operates on: a
 labelled, immutable multiset of per-paper citation counts.  Aggregates carry
 the per-subfield paper/citation totals split by collaboration class that the
 scaling regressions consume.  numpy is imported by the code that uses it, so
-reading aggregates loads none.
+reading aggregates and writing counts load none.
 """
 
 from __future__ import annotations
 
+import re
 import statistics
 from dataclasses import astuple, dataclass, fields
 from itertools import groupby
@@ -246,12 +247,13 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
 
 def write_counts(path: str | Path, counts: Iterable[int],
                  header: Iterable[str] = ()) -> None:
-    """Write counts one per line; header lines are emitted as ``#`` comments."""
-    import numpy as np
-
-    if isinstance(counts, np.ndarray):
-        counts = counts.tolist()  # Python ints format faster than numpy's
-    lines = [f"# {line}\n" for line in header]
+    """Write counts one per line; header lines are emitted as ``#`` comments,
+    one per piece of a header line that holds line breaks."""
+    if hasattr(counts, "tolist"):  # an ndarray or array
+        counts = counts.tolist()  # Python ints format faster
+    # read_counts breaks lines at \r, \n and \r\n
+    lines = [f"# {piece}\n" for line in header
+             for piece in re.split(r"\r\n?|\n", line)]
     # a sample's counts are sorted: each run of equal values is one string
     lines += [f"{int(value)}\n" * len(list(run))
               for value, run in groupby(counts)]

@@ -9,10 +9,9 @@ reason; nothing is discarded silently.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from ._constants import DEFAULT_COLUMNS
 from .dataset import (_COUNT_LIMIT, CitationSample, SubfieldAggregate,
@@ -243,15 +242,18 @@ def build_aggregates(records: Sequence[BiblioRecord],
     """Sum papers and citations per subfield, split by collaboration.
 
     Records whose journal is missing from the classification go to the
-    rejection list with their source line number (0 when unknown).
-    Every mapped record lands in exactly one aggregate.
+    rejection list, in record order, with their source line number (0
+    when unknown).  Every mapped record lands in exactly one aggregate.
     """
     rows = [0] * len(records) if source_rows is None else source_rows
+    if len(rows) != len(records):
+        raise ValueError(f"{len(rows)} source rows for {len(records)} "
+                         "records")
     kept = KeptRows()
-    for rec, row in zip(records, rows):
-        kept.add(row, rec.authors, rec.journal, rec.citations)
+    for i, rec in enumerate(records):
+        kept.add(i, rec.authors, rec.journal, rec.citations)
     aggregates, rejections, _ = kept.tally(classification)
-    return aggregates, rejections
+    return aggregates, [(rows[i], reason) for i, reason in rejections]
 
 
 def mode_samples(records: Sequence[BiblioRecord]) -> dict[str, CitationSample]:
@@ -259,7 +261,8 @@ def mode_samples(records: Sequence[BiblioRecord]) -> dict[str, CitationSample]:
     kept = KeptRows()
     for rec in records:
         kept.add(0, rec.authors, rec.journal, rec.citations)
-    return kept.samples()
+    return {mode: CitationSample(values, label=mode)
+            for mode, values in _modes(kept.groups.values()).items()}
 
 
 def filter_years(records: Sequence[BiblioRecord],
@@ -276,63 +279,62 @@ def in_window(year: int, year_min: int | None, year_max: int | None) -> bool:
 
 
 class KeptRows:
-    """Kept rows in compact columns, not one object per row: source line,
-    citations, collaboration flag, and an index into the distinct raw
-    journal names."""
+    """Kept rows grouped by raw journal string, not one object per row:
+    each journal's source lines, and its collaborative and single-authored
+    citations, in three columns."""
 
     def __init__(self) -> None:
-        self.rows, self.citations = array("q"), array("q")
-        self.collab, self.journal_at = bytearray(), array("I")
-        self.journals: dict[str, int] = {}
+        self.groups: dict[str, tuple[array, array, array]] = defaultdict(
+            lambda: (array("q"), array("q"), array("q")))
 
     def add(self, row: int, authors: Sequence[str], journal: str,
             citations: int) -> None:
-        self.rows.append(row)
-        self.citations.append(citations)
-        self.collab.append(_collaborative(authors))
-        self.journal_at.append(self.journals.setdefault(journal,
-                                                        len(self.journals)))
+        rows, collab, single = self.groups[journal]
+        rows.append(row)
+        (collab if _collaborative(authors) else single).append(citations)
 
     def tally(self, classification: Mapping[str, tuple[str, str]],
               ) -> tuple[list[SubfieldAggregate], list[tuple[int, str]],
-                         bytearray]:
-        """Per-subfield sums, split by collaboration, looking each distinct
-        journal up once.  Returns the aggregates sorted by subfield, the
-        unmapped rows' rejections, and a flag per row, 1 where mapped."""
+                         dict[str, array]]:
+        """Per-subfield sums, split by collaboration, looking each journal
+        up once.  Returns the aggregates sorted by subfield, the unmapped
+        rows' rejections sorted by row, and the mapped rows' citations per
+        mode, as :func:`_modes` gives them."""
         if not classification:
             raise ValueError("empty classification map")
-        names = list(self.journals)
         # subfield -> [field, papers_collab, papers_single, citations_collab,
-        # citations_single]; each journal points at its entry, or None
+        # citations_single]
         sums: dict[str, list] = {}
-        entry_of = [None if target is None
-                    else sums.setdefault(target[1], [target[0], 0, 0, 0, 0])
-                    for target in map(classification.get,
-                                      map(normalize_journal, names))]
         rejections: list[tuple[int, str]] = []
-        mapped = bytearray(len(self.rows))
-        for i, (row, cites, collab, j) in enumerate(zip(
-                self.rows, self.citations, self.collab, self.journal_at)):
-            entry = entry_of[j]
-            if entry is None:
-                rejections.append((row, f"unmapped journal: {names[j]}"))
+        mapped = []
+        for journal, group in self.groups.items():
+            rows, collab, single = group
+            target = classification.get(normalize_journal(journal))
+            if target is None:
+                rejections += zip(rows, [f"unmapped journal: {journal}"]
+                                  * len(rows))
                 continue
-            mapped[i] = 1
-            entry[1 if collab else 2] += 1
-            entry[3 if collab else 4] += cites
+            mapped.append(group)
+            entry = sums.setdefault(target[1], [target[0], 0, 0, 0, 0])
+            entry[1] += len(collab)
+            entry[2] += len(single)
+            # Python-int sums: exact past 2**63
+            entry[3] += sum(collab)
+            entry[4] += sum(single)
+        rejections.sort()
         return ([SubfieldAggregate(sub, field, pc + ps, pc, ps, cc + cs,
                                    cc, cs)
                  for sub, (field, pc, ps, cc, cs) in sorted(sums.items())],
-                rejections, mapped)
+                rejections, _modes(mapped))
 
-    def samples(self, keep: bytearray | None = None,
-                ) -> dict[str, CitationSample]:
-        """The overall, collaboration and single samples of the rows whose
-        ``keep`` flag is set, all rows by default; an empty one is left out."""
-        keep = slice(None) if keep is None else np.asarray(keep, dtype=bool)
-        cites = np.asarray(self.citations, dtype=np.int64)[keep]
-        collab = np.asarray(self.collab, dtype=bool)[keep]
-        parts = {"overall": cites, "collaboration": cites[collab],
-                 "single": cites[~collab]}
-        return {mode: CitationSample(values, label=mode)
-                for mode, values in parts.items() if values.size}
+
+def _modes(groups: Iterable[tuple[array, array, array]]) -> dict[str, array]:
+    """The overall, collaboration and single citations of the groups,
+    unsorted; an empty mode is left out."""
+    collab, single = array("q"), array("q")
+    for _, group_collab, group_single in groups:
+        collab += group_collab
+        single += group_single
+    parts = {"overall": collab + single, "collaboration": collab,
+             "single": single}
+    return {mode: values for mode, values in parts.items() if values}

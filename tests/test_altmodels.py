@@ -407,3 +407,16 @@ class TestSampleAlternative:
         with pytest.raises(ValueError, match="parameters must be finite"):
             sample_alternative(
                 AltFit("powerlaw_cutoff", (1.5, np.nan), 1, 0.0), 5, 1)
+
+    @pytest.mark.parametrize("fit, message", [
+        (AltFit("weibull", (2.0, 0.1), 1, 0.0), "unknown family: 'weibull'"),
+        (AltFit("lognormal", (1.0,), 1, 0.0),
+         r"lognormal takes \(mu, sigma\), got \(1.0,\)"),
+        (AltFit("exponential", (0.5, 0.1), 1, 0.0),
+         r"exponential takes \(rate\), got \(0.5, 0.1\)"),
+        (AltFit("powerlaw_cutoff", (2.0,), 1, 0.0),
+         r"powerlaw_cutoff takes \(alpha, rate\), got \(2.0,\)"),
+    ], ids=["unknown", "lognormal", "exponential", "cutoff"])
+    def test_rejects_unknown_family_and_wrong_arity(self, fit, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_alternative(fit, 5, seed=1)

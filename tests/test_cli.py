@@ -208,6 +208,20 @@ class TestSimulate:
             f"# command: {command} --n 3000 --seed 4 --output x.txt",
             "# seed: 4"]
 
+    @pytest.mark.parametrize("name", ["nl\nx.txt", "cr\rx.txt",
+                                      "crlf\r\nx.txt"],
+                             ids=["lf", "cr", "crlf"])
+    def test_line_break_in_output_path(self, tmp_path, monkeypatch, name):
+        # the recorded command holds the break; each piece is a # line
+        monkeypatch.chdir(tmp_path)
+        for output in ("plain.txt", name):
+            assert run("simulate", "--family", "powerlaw", "--alpha", 2.5,
+                       "--n", 300, "--seed", 4, "--output", output) == 0
+        assert read_counts(name).counts.tolist() == \
+            read_counts("plain.txt").counts.tolist()
+        assert run("fit", "--input", name, "--outdir", "out",
+                   "--bootstrap", 0) == 0
+
 
 class TestFit:
     def test_fit_with_gof(self, counts_file, tmp_path):
@@ -925,7 +939,7 @@ class TestImports:
         (["gof", "--input", "counts.txt", "--outdir", "out", "--sims", 5],
          ["numpy"]),
         (["ingest", "--input", "export.tsv", "--map", "map.csv", "--outdir",
-          "out"], ["numpy"]),
+          "out"], []),
         # scipy.special imports concurrent.futures itself
         (["compare", "--input", "counts.txt", "--outdir", "out"],
          ["numpy", "scipy", "concurrent.futures"]),
@@ -955,6 +969,20 @@ class TestImports:
         out = fresh_python(probe, tmp_path / "c.txt")
         assert out.strip() == "[0, 2, 2] [1, 1, 3, 7]"
         assert (tmp_path / "c.txt").read_text() == "# h\n3\n1\n1\n7\n"
+
+    def test_writing_counts_loads_no_numpy(self, tmp_path):
+        probe = ("import sys\nfrom array import array\n"
+                 "from heavytails.dataset import write_counts\n"
+                 "values = [0, 3, 3, 12]\n"
+                 "for name, counts in (('list', values), "
+                 "('array', array('q', values))):\n"
+                 "    write_counts(name, counts, header=['h'])\n"
+                 "assert 'numpy' not in sys.modules\n"
+                 "import numpy as np\n"
+                 "write_counts('ndarray', np.array(values), header=['h'])\n")
+        fresh_python(probe, cwd=tmp_path)
+        for name in ("list", "array", "ndarray"):
+            assert (tmp_path / name).read_bytes() == b"# h\n0\n3\n3\n12\n"
 
     # documents imports dataclasses only when it builds a document: at
     # module level it would also load inspect

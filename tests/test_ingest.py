@@ -235,6 +235,24 @@ class TestBuildAggregates:
         with pytest.raises(ValueError, match="empty classification map"):
             build_aggregates(result.records, {})
 
+    def test_one_source_row_per_record(self, export_lines,
+                                       classification_lines):
+        result = parse_export(export_lines)
+        mapping = read_classification(classification_lines)
+        with pytest.raises(ValueError, match="2 source rows for 4 records"):
+            build_aggregates(result.records, mapping, (2, 3))
+
+    @pytest.mark.parametrize("source_rows, rows", [
+        (None, [0, 0, 0]), ((9, 4, 12), [9, 4, 12]),
+    ], ids=["no-rows", "rows"])
+    def test_unmapped_rejections_keep_record_order(self, source_rows, rows):
+        records = [BiblioRecord(f"r{i}", ("A",), journal, "Article", i, 2000)
+                   for i, journal in enumerate(("X", "Y", "X"))]
+        mapping = {"z": ("f", "s")}
+        _, rejections = build_aggregates(records, mapping, source_rows)
+        assert rejections == [(row, f"unmapped journal: {journal}")
+                              for row, journal in zip(rows, "XYX")]
+
 
 class TestModeSamples:
     def test_partition(self, export_lines):
