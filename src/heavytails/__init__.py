@@ -7,8 +7,8 @@ alternatives by likelihood ratio, and measures the scaling relationship
 between citation impact and output across subfields.
 
 Exports and submodules load on first use (PEP 562), so a command that
-needs neither numpy nor scipy imports neither: `ingest`, `scaling`,
-`report` and `--version` are such commands.
+needs no numpy imports none: `ingest`, `scaling`, `report` and
+`--version` are such commands.  The others need numpy alone.
 """
 
 from importlib import import_module

@@ -6,15 +6,16 @@ discretized onto the integers by CDF differences over [x - 1/2, x + 1/2]
 and renormalized over the tail support, keeping them commensurable with
 the discrete power law.  Comparison uses the normalized (Vuong)
 likelihood-ratio test for the non-nested families and a chi-square test
-for the nested cutoff.
+for the nested cutoff.  The normal tail masses come from one numpy kernel
+for erfcx, so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, log_ndtr, ndtr, ndtri_exp
 
 from ._constants import FAMILIES, FAMILY_PARAMS
 from ._rng import DOMAIN_SAMPLING, derived_rng
@@ -36,7 +37,8 @@ __all__ = [
 SIGNIFICANCE = 0.10
 
 _NEWTON_CAP = 500
-_LOG_SQRT_2PI = 0.5 * float(np.log(2.0 * np.pi))
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +64,86 @@ class ModelComparison:
 
 
 # ---------------------------------------------------------------------------
+# The standard normal's tail, from one erfcx kernel
+# ---------------------------------------------------------------------------
+
+# Chebyshev coefficients c_k of g(y) = log(erfcx(x) / t), t = 2 / (2 + x),
+# y = 2 t - 1 (Press et al., Numerical Recipes, 3rd ed., 6.2.2): the values
+# at 40 digits of (2 / 64) sum_j g(y_j) T_k(y_j) over the 64 Chebyshev
+# nodes y_j = cos(pi (j + 1/2) / 64), rounded to doubles.  g is c_0 / 2 +
+# sum_k c_k T_k(y); the terms past these 28 sum to less than 4e-18.
+_ERFCX_CHEB = (
+    -1.3026537197817094, 0.6419697923564902, 0.019476473204185836,
+    -0.009561514786808632, -0.0009465953444820369, 0.00036683949785276145,
+    4.252332480690777e-05, -2.0278578112534242e-05, -1.6242900046470256e-06,
+    1.3036558355805232e-06, 1.5626441722066142e-08, -8.523809591492654e-08,
+    6.5290544390988515e-09, 5.059343495551469e-09, -9.91364156493033e-10,
+    -2.273651222931836e-10, 9.646791102015527e-11, 2.3940380830391146e-12,
+    -6.886027526497553e-12, 8.944879273090725e-13, 3.130921399342958e-13,
+    -1.1270822361367252e-13, 3.810905255189232e-16, 7.106097613609237e-15,
+    -1.5230282014571043e-15, -9.457494571291233e-17, 1.210237189224279e-16,
+    -2.816663087747177e-17,
+)
+
+
+def _erfcx(x) -> np.ndarray:
+    """erfcx(x) = exp(x^2) erfc(x): t exp(g(2 t - 1)) at |x| by Clenshaw's
+    recurrence, and 2 exp(x^2) - erfcx(-x) for x < 0."""
+    x = np.asarray(x, dtype=np.float64)
+    t = 2.0 / (2.0 + np.abs(x))
+    y2 = 4.0 * t - 2.0
+    d = dd = 0.0
+    for c in _ERFCX_CHEB[:0:-1]:
+        d, dd = y2 * d - dd + c, d
+    out = t * np.exp(0.5 * (y2 * d + _ERFCX_CHEB[0]) - dd)
+    below = x < 0.0
+    if below.any():
+        with np.errstate(over="ignore"):
+            out = np.where(below, 2.0 * np.exp(x * x) - out, out)
+    return out
+
+
+def _mills(z) -> np.ndarray:
+    """Mills ratio sf(z) / pdf(z) of the standard normal; its reciprocal is
+    the hazard pdf(z) / sf(z), and the inverse Mills ratio pdf(z) / cdf(z)
+    is 1 / _mills(-z)."""
+    return math.sqrt(0.5 * math.pi) * _erfcx(np.multiply(z, _SQRT_HALF))
+
+
+def _log_ndtr(z) -> np.ndarray:
+    """log cdf(z) of the standard normal, from log sf(|z|) = log erfcx(|z| /
+    sqrt 2) - z^2 / 2 - log 2: itself for z < 0, log1p(-sf(|z|)) above."""
+    z = np.asarray(z, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        tail = np.log(_erfcx(np.abs(z) * _SQRT_HALF)) - 0.5 * z * z - math.log(2.0)
+        return np.where(z < 0.0, tail, np.log1p(-np.exp(tail)))
+
+
+def _ndtri_exp(y) -> np.ndarray:
+    """The z with _log_ndtr(z) = y <= 0.
+
+    w >= 0 solves log sf(w) = v, where z = -w and v = y below the median
+    and z = w and v = log(-expm1(y)) above it.  w starts at Abramowitz &
+    Stegun 26.2.23 in s = sqrt(-2 v), within 4.5e-4 of the root, and takes
+    two Halley steps on f(w) = log sf(w) - v, whose f' = -1 / R and f'' =
+    (w R - 1) / R^2 come from the Mills ratio R.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    above = y > -math.log(2.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = np.where(above, np.log(-np.expm1(y)), y)
+        s = np.sqrt(-2.0 * v)
+        w = s - ((2.515517 + s * (0.802853 + s * 0.010328))
+                 / (1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308))))
+        for _ in range(2):
+            r = _mills(w)
+            f = np.log(r) - 0.5 * w * w - _LOG_SQRT_2PI - v
+            w = w + 2.0 * f * r / (2.0 + f * (1.0 - w * r))
+    w = np.where(v == -np.inf, np.inf, w)
+    return np.where(above, w, -w)
+
+
+# ---------------------------------------------------------------------------
 # Discretized log-mass functions, normalized over x >= x_min.
 # ---------------------------------------------------------------------------
 
@@ -78,8 +160,10 @@ def _lognormal_cells(x: np.ndarray, mu: float, sigma: float, q: int):
     # a narrow cell's by its midpoint series pdf(m) 2h (1 + He2(m) h^2 / 3!
     # + He4(m) h^4 / 5!), whose next term is below 1e-15 of the sum
     left = b < 0.0
-    la = log_ndtr(np.where(left, b, -a))
-    lb = log_ndtr(np.where(left, a, -b))
+    # one kernel call for every edge: its cost is mostly per call
+    ends = _log_ndtr(np.concatenate([np.where(left, b, -a),
+                                     np.where(left, a, -b), [-c]]))
+    la, lb, lc = ends[:x.size], ends[x.size:-1], ends[-1]
     m, h = (a + b) / 2.0, width / 2.0
     m2, h2 = m * m, h * h
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -88,7 +172,7 @@ def _lognormal_cells(x: np.ndarray, mu: float, sigma: float, q: int):
                       + np.log1p(h2 * (m2 - 1.0) / 6.0
                                  + h2 * h2 * (m2 * m2 - 6.0 * m2 + 3.0) / 120.0),
                       la + np.log(-np.expm1(lb - la)))
-    return a, b, width, c, lw, log_ndtr(-c)
+    return a, b, width, c, lw, lc
 
 
 def _lognormal_logpmf(x: np.ndarray, mu: float, sigma: float, q: int) -> np.ndarray:
@@ -382,8 +466,13 @@ def _vuong(d: np.ndarray, weights: np.ndarray) -> tuple[float, float, float]:
     var = float(np.sum(weights * (d - mean) ** 2) / n)
     if var <= 0.0:
         return lr, 0.0, 1.0
-    z = lr / np.sqrt(n * var)
-    return lr, float(z), float(2.0 * ndtr(-abs(z)))
+    z = float(lr / np.sqrt(n * var))
+    return lr, z, math.erfc(abs(z) * _SQRT_HALF)  # 2 sf(|z|)
+
+
+def _chi2_1_sf(x: float) -> float:
+    """Survival function of chi-square with one degree of freedom."""
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 def _verdict(lr: float, p: float) -> str:
@@ -412,7 +501,7 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
                    anchor=(pl.alpha, pl.log_likelihood))
         if family == "powerlaw_cutoff":
             lr = pl.log_likelihood - fit.log_likelihood
-            p = float(chdtrc(1, 2.0 * abs(lr)))
+            p = _chi2_1_sf(2.0 * abs(lr))
             results.append(ModelComparison(family, lr, None, p, _verdict(lr, p)))
         else:
             logpmf = _lognormal_logpmf if family == "lognormal" else _exponential_logpmf
@@ -497,10 +586,10 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
             raise ValueError("sigma must be positive")
         # the pmf is the mass on [x - 1/2, x + 1/2] of a lognormal Y truncated
         # to Y >= q - 1/2, so X is Y rounded, Y drawn from its log survival
-        log_sf = np.log1p(-rng.random(int(n))) + log_ndtr(
+        log_sf = np.log1p(-rng.random(int(n))) + _log_ndtr(
             (mu - np.log(q - 0.5)) / sigma)
         with np.errstate(over="ignore"):
-            y = np.exp(mu - sigma * ndtri_exp(log_sf))
+            y = np.exp(mu - sigma * _ndtri_exp(log_sf))
         x = _as_counts(np.maximum(q, np.ceil(y - 0.5)))
     else:
         alpha, rate = fit.params

@@ -5,7 +5,8 @@ documents and plot CSVs go to files; human tables come from `report`;
 progress notes go to stderr so data streams stay clean.  All randomness
 flows from --seed, and results are identical for any --threads value.
 Each command imports the package modules it runs, when it runs, so that
-`ingest`, `scaling`, `report` and `--version` run without numpy or scipy.
+`ingest`, `scaling`, `report` and `--version` run without numpy, and the
+other commands with numpy alone.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ _COLUMN_FLAGS = {
     "year": "year",
     "record_id": "id",
 }
+
+# C0 and C1 control characters and DEL -> their escapes in repr, so that an
+# error message naming, say, a file with a carriage return stays on one line
+_CONTROL_ESCAPES = {c: repr(chr(c))[1:-1]
+                    for c in (*range(0x20), *range(0x7F, 0xA0))}
 
 # command -> the options its recorded command lists, in this order.
 # --threads is deliberately left out: it cannot change results, and
@@ -363,7 +369,7 @@ def main(argv=None) -> int:
                                  f"least {least}")
         args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + str(exc).translate(_CONTROL_ESCAPES), file=sys.stderr)
         return 1
     return 0
 

@@ -60,7 +60,14 @@ class CitationSample:
     def __init__(self, counts: Iterable[int], label: str = ""):
         import numpy as np
 
-        arr = np.asarray(list(counts) if not isinstance(counts, np.ndarray) else counts)
+        if isinstance(counts, np.ndarray):
+            arr = counts
+        else:
+            # a buffer (array.array, bytes) is read in place, not as a list
+            try:
+                arr = np.asarray(memoryview(counts))
+            except TypeError:
+                arr = np.asarray(list(counts))
         if arr.size == 0:
             raise ValueError("empty dataset")
         if not np.issubdtype(arr.dtype, np.integer):
@@ -70,7 +77,8 @@ class CitationSample:
             raise ValueError("citation counts must be nonnegative")
         if arr.max() >= _COUNT_LIMIT:
             raise ValueError("citation count out of range")
-        arr = np.sort(arr.astype(np.int64))
+        arr = arr.astype(np.int64)  # a copy, so the caller's buffer stays apart
+        arr.sort()
         arr.setflags(write=False)
         self._label = str(label)
         self._counts = arr

@@ -9,7 +9,7 @@ indicators.
 The two-sided p-value of the slope comes from the Student t distribution's
 tail, which for an integer number of degrees of freedom is a finite sum
 (Abramowitz & Stegun, Handbook of Mathematical Functions, 26.7.3-4).  The
-module needs neither numpy nor scipy.
+module needs no numpy.
 """
 
 from __future__ import annotations

@@ -6,14 +6,16 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 from scipy.stats import chi2, norm
 
 from heavytails import (CitationSample, DiscretePowerLaw, compare_models,
                         fit_alternative, fit_power_law, sample_alternative,
                         sample_power_law)
-from heavytails.altmodels import (FAMILIES, AltFit, _cutoff_model,
-                                  _cutoff_moments, _lognormal_logpmf,
-                                  _lognormal_model, _vuong)
+from heavytails.altmodels import (_ERFCX_CHEB, FAMILIES, AltFit, _chi2_1_sf,
+                                  _cutoff_model, _cutoff_moments, _erfcx,
+                                  _log_ndtr, _lognormal_logpmf,
+                                  _lognormal_model, _mills, _ndtri_exp, _vuong)
 from heavytails.powerlaw import PowerLawFit, _distinct
 
 
@@ -23,6 +25,83 @@ def _lerch_log_z(alpha: float, rate: float, q: int) -> float:
         z = mpmath.e ** (-rate * q) * mpmath.lerchphi(
             mpmath.e ** -mpmath.mpf(rate), alpha, q)
         return float(mpmath.log(z))
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(got - ref) / np.abs(ref)))
+
+
+class TestNormalKernel:
+    """The erfcx kernel and what is built on it, against mpmath and scipy.
+    Each bound sits a little above the error measured on its grid."""
+
+    def test_chebyshev_table_regenerates(self):
+        # the recipe in altmodels: the 64-node Chebyshev coefficients of
+        # g(y) = log(erfcx(x) / t), t = (1 + y) / 2, x = 2 / t - 2, at 40 digits
+        nodes = 64
+        with mpmath.workdps(40):
+            theta = [mpmath.pi * (j + mpmath.mpf(0.5)) / nodes
+                     for j in range(nodes)]
+            g = []
+            for a in theta:
+                t = (1 + mpmath.cos(a)) / 2
+                x = 2 / t - 2
+                g.append(mpmath.log(mpmath.erfc(x) * mpmath.exp(x * x) / t))
+            coef = [2 * mpmath.fsum(v * mpmath.cos(k * a)
+                                    for v, a in zip(g, theta)) / nodes
+                    for k in range(nodes)]
+        assert tuple(float(c) for c in coef[:len(_ERFCX_CHEB)]) == _ERFCX_CHEB
+        assert float(mpmath.fsum(abs(c) for c in coef[len(_ERFCX_CHEB):])) < 4e-18
+
+    def test_log_ndtr_against_mpmath(self):
+        z = np.concatenate([-np.logspace(150, 2, 40), -np.logspace(2, -3, 200),
+                            np.linspace(-40.0, 10.0, 401), [0.0]])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.log(mpmath.ncdf(v))) for v in z])
+        # measured: 5.6e-15; scipy.special.log_ndtr's is 1.5e-14 here
+        assert _rel_err(_log_ndtr(z), ref) < 1e-14
+        assert _log_ndtr(np.inf) == 0.0 and _log_ndtr(-np.inf) == -np.inf
+
+    def test_erfcx_and_mills_ratio_on_both_sides(self):
+        # x < 0 takes the reflection 2 exp(x^2) - erfcx(-x)
+        z = np.concatenate([np.linspace(-37.0, 40.0, 771), np.logspace(-8, 8, 50)])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.ncdf(-v) / mpmath.npdf(v)) for v in z])
+        # measured: 1.9e-13, at z = -34.8, where exp(z^2 / 2) nears overflow;
+        # scipy.special.erfcx gives the same error there
+        assert _rel_err(_mills(z), ref) < 3e-13
+        x = z * math.sqrt(0.5)
+        # measured: 7.1e-16
+        assert_allclose(_erfcx(x), special.erfcx(x), rtol=2e-15)
+
+    def test_inverse_against_scipy(self):
+        y = np.concatenate([-np.logspace(-300, 300, 601),
+                            np.log(np.linspace(1e-6, 1.0 - 1e-12, 600)),
+                            [math.log(0.5), -5e-324]])
+        # measured: 5.4e-13 relative, at y = -1e5; 6.9e-16 absolute where
+        # |z| < 1
+        assert_allclose(_ndtri_exp(y), special.ndtri_exp(y), rtol=1e-12,
+                        atol=1e-15)
+        # at y = -1e5 mpmath sides with _ndtri_exp, within 1.3e-16
+        with mpmath.workdps(40):
+            exact = float(mpmath.findroot(
+                lambda t: mpmath.log(mpmath.ncdf(t)) + 100000, -447.0))
+        assert _ndtri_exp(-1e5) == pytest.approx(exact, rel=5e-16)
+        assert list(_ndtri_exp([0.0, -np.inf])) == [np.inf, -np.inf]
+
+    def test_vuong_p_against_ndtr(self):
+        # d = (m + 1, m - 1) gives z = sqrt(2) m
+        for m in np.linspace(-26.0, 26.0, 521):
+            _, z, p = _vuong(np.array([m + 1.0, m - 1.0]), np.ones(2))
+            # measured: 5.4e-14, from the rounding of z / sqrt(2)
+            assert p == pytest.approx(2.0 * special.ndtr(-abs(z)), rel=1e-13,
+                                      abs=0.0)
+
+    def test_chi2_1_sf_against_chdtrc(self):
+        x = np.concatenate([np.linspace(0.0, 1400.0, 2801), np.logspace(-12, 3, 301)])
+        got = np.array([_chi2_1_sf(v) for v in x])
+        # measured: 1.9e-13, at x = 1167, from the rounding of sqrt(x / 2)
+        assert_allclose(got, special.chdtrc(1, x), rtol=5e-13)
 
 
 class TestCutoffNormalizer:

@@ -1,5 +1,7 @@
 """Sample containers, summaries, partition shares, and file round trips."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +46,28 @@ class TestCitationSample:
         # never wrapped through the int64 cast
         with pytest.raises(ValueError, match="citation count out of range"):
             CitationSample(counts, label="big")
+
+    @pytest.mark.parametrize("values, typecode, message", [
+        ([5, 0, 3, 3, 2 ** 63 - 1], "q", None),
+        ([4, 1.5], "d", "citation counts must be integers"),
+        ([3, -1], "q", "citation counts must be nonnegative"),
+        ([3, 2 ** 63], "Q", "citation count out of range"),
+        ([], "q", "empty dataset"),
+    ], ids=["valid", "fraction", "negative", "2**63", "empty"])
+    def test_list_buffer_and_ndarray_alike(self, values, typecode, message):
+        # an array.array is read through its buffer, a list item by item
+        buffer = array(typecode, values)
+        inputs = (values, buffer, np.array(values))
+        if message is not None:
+            for counts in inputs:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    CitationSample(counts)
+            return
+        samples = [CitationSample(counts, label="x") for counts in inputs]
+        buffer[0] = 7  # the sample holds a copy
+        for s in samples:
+            assert s.counts.dtype == np.int64
+            assert s.counts.tolist() == sorted(values)
 
     def test_keeps_the_largest_int64(self):
         big = CitationSample([2 ** 63 - 1, 3], label="big")
