@@ -37,6 +37,9 @@ __all__ = [
 SIGNIFICANCE = 0.10
 
 _NEWTON_CAP = 500
+# the cutoff's least alpha: the edge of its fit's box, and of the sampler,
+# whose acceptance falls as about 1 / sqrt(-alpha)
+_CUTOFF_ALPHA_MIN = -5.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -117,30 +120,6 @@ def _log_ndtr(z) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         tail = np.log(_erfcx(np.abs(z) * _SQRT_HALF)) - 0.5 * z * z - math.log(2.0)
         return np.where(z < 0.0, tail, np.log1p(-np.exp(tail)))
-
-
-def _ndtri_exp(y) -> np.ndarray:
-    """The z with _log_ndtr(z) = y <= 0.
-
-    w >= 0 solves log sf(w) = v, where z = -w and v = y below the median
-    and z = w and v = log(-expm1(y)) above it.  w starts at Abramowitz &
-    Stegun 26.2.23 in s = sqrt(-2 v), within 4.5e-4 of the root, and takes
-    two Halley steps on f(w) = log sf(w) - v, whose f' = -1 / R and f'' =
-    (w R - 1) / R^2 come from the Mills ratio R.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    above = y > -math.log(2.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = np.where(above, np.log(-np.expm1(y)), y)
-        s = np.sqrt(-2.0 * v)
-        w = s - ((2.515517 + s * (0.802853 + s * 0.010328))
-                 / (1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308))))
-        for _ in range(2):
-            r = _mills(w)
-            f = np.log(r) - 0.5 * w * w - _LOG_SQRT_2PI - v
-            w = w + 2.0 * f * r / (2.0 + f * (1.0 - w * r))
-    w = np.where(v == -np.inf, np.inf, w)
-    return np.where(above, w, -w)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +401,7 @@ def _fit_cutoff(values, counts, q, anchor=None):
         if z_shift <= z * float(np.sum(counts * values) / counts.sum()):
             return nested
     model = _cutoff_model(values, counts, q)
-    lo, hi = np.array([-5.0, 0.0]), np.array([30.0, 10.0])
+    lo, hi = np.array([_CUTOFF_ALPHA_MIN, 0.0]), np.array([30.0, 10.0])
     start = _line_search(model, np.array([alpha_pl, 0.0]), ll_pl,
                          np.array([0.0, 1.0 / values[-1]]), lo, hi)
     if start is None:
@@ -488,8 +467,12 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
     lr is the power-law tail log-likelihood minus the alternative's, both
     over the same tail.  Non-nested families get a two-sided normal p from
     the variance-normalized statistic; the nested cutoff gets a chi-square
-    p on 2|lr| with one degree of freedom.
+    p on 2|lr| with one degree of freedom.  A family named twice raises
+    ValueError.
     """
+    repeated = sorted({f for f in alternatives if alternatives.count(f) > 1})
+    if repeated:
+        raise ValueError(f"repeated family: {', '.join(repeated)}")
     values, counts = np.array(_distinct(sample.counts, pl.x_min),
                               dtype=np.float64)
     pl_logpmf = pl.model().logpmf(values)
@@ -557,6 +540,33 @@ def _cutoff_draws(alpha: float, rate: float, q: int, n: int, rng) -> np.ndarray:
     return _as_counts(_rejection(n, propose))
 
 
+def _lognormal_draws(mu: float, sigma: float, q: int, n: int, rng) -> np.ndarray:
+    """Variates of the discretized lognormal on x >= q: Y rounded, where Y
+    is lognormal truncated to Y >= q - 1/2, and log Y = mu + sigma Z for a
+    standard normal Z given Z >= c.  For c <= 0, Z is a normal proposal kept
+    if Z >= c: at least half are.  Above, Z - c = E / lam is Robert's
+    exponential proposal (Stat. Comput. 5:121, 1995), kept with probability
+    exp(-(Z - lam)^2 / 2), Z - lam = E / lam + d, d = c - lam = -2 / (c +
+    hypot(c, 2)); d is finite at c = inf, where every draw is q."""
+    # in floats, not numpy: c is +-inf, with no warning, at sigma = 5e-324
+    c = (math.log(q - 0.5) - mu) / sigma
+    if c <= 0.0:
+        def propose(m):
+            z = rng.standard_normal(m)
+            return np.exp(mu + sigma * z), z >= c
+    else:
+        d = -2.0 / (c + math.hypot(c, 2.0))
+
+        def propose(m):
+            excess = rng.standard_exponential(m) / (c - d)
+            keep = 2.0 * rng.standard_exponential(m) >= (excess + d) ** 2
+            # log Y from q - 1/2, not mu + sigma Z: mu + sigma c may cancel
+            return (q - 0.5) * np.exp(sigma * excess), keep
+    with np.errstate(over="ignore"):
+        y = _rejection(n, propose)
+    return _as_counts(np.maximum(q, np.ceil(y - 0.5)))
+
+
 def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
     """Draw n deterministic variates from the discretized family.
 
@@ -584,17 +594,13 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
         mu, sigma = fit.params
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        # the pmf is the mass on [x - 1/2, x + 1/2] of a lognormal Y truncated
-        # to Y >= q - 1/2, so X is Y rounded, Y drawn from its log survival
-        log_sf = np.log1p(-rng.random(int(n))) + _log_ndtr(
-            (mu - np.log(q - 0.5)) / sigma)
-        with np.errstate(over="ignore"):
-            y = np.exp(mu - sigma * _ndtri_exp(log_sf))
-        x = _as_counts(np.maximum(q, np.ceil(y - 0.5)))
+        x = _lognormal_draws(float(mu), float(sigma), q, int(n), rng)
     else:
         alpha, rate = fit.params
         if rate < 0:
             raise ValueError("rate must be nonnegative")
+        if rate > 0.0 and alpha < _CUTOFF_ALPHA_MIN:
+            raise ValueError(f"alpha must be at least {_CUTOFF_ALPHA_MIN:g}")
         if rate == 0.0:
             x = _tail_draws(_exponent(alpha), q, int(n), rng)
         else:

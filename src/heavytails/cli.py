@@ -21,7 +21,7 @@ from . import documents
 from ._constants import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL,
                          DEFAULT_SIMS, FAMILIES, FAMILY_PARAMS, MODES)
 from ._version import __version__
-from .report import render
+from .report import _CONTROL_ESCAPES, render
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -38,11 +38,6 @@ _COLUMN_FLAGS = {
     "year": "year",
     "record_id": "id",
 }
-
-# C0 and C1 control characters and DEL -> their escapes in repr, so that an
-# error message naming, say, a file with a carriage return stays on one line
-_CONTROL_ESCAPES = {c: repr(chr(c))[1:-1]
-                    for c in (*range(0x20), *range(0x7F, 0xA0))}
 
 # command -> the options its recorded command lists, in this order.
 # --threads is deliberately left out: it cannot change results, and
@@ -231,8 +226,8 @@ def _cmd_compare(args) -> None:
     from .powerlaw import fit_power_law
 
     sample = read_counts(args.input, label=args.label)
-    # compare_models rejects an unknown family, and nothing is written before
-    # it returns
+    # compare_models rejects an unknown or repeated family, and nothing is
+    # written before it returns
     alternatives = tuple(a.strip() for a in args.alternatives.split(",")
                          if a.strip())
     if not alternatives:

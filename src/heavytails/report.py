@@ -11,6 +11,35 @@ from ._constants import MODES
 
 __all__ = ["render"]
 
+# C0 and C1 control characters and DEL -> their escapes in repr, so that a
+# report cell or an error message naming, say, a file with a carriage return
+# stays on one line and in its column
+_CONTROL_ESCAPES = {c: repr(chr(c))[1:-1]
+                    for c in (*range(0x20), *range(0x7F, 0xA0))}
+
+
+def _escaped(doc):
+    """A copy of a parsed JSON value with every string in it, keys too,
+    escaped.  Containers are filled from a stack, not by recursion: json
+    parses values nested deeper than Python recurses."""
+    def copy(value):
+        if isinstance(value, str):
+            return value.translate(_CONTROL_ESCAPES)
+        if isinstance(value, (dict, list)):
+            todo.append((value, out := type(value)()))
+            return out
+        return value
+
+    todo = []
+    root = copy(doc)
+    while todo:
+        source, target = todo.pop()
+        if isinstance(source, dict):
+            target.update((copy(k), copy(v)) for k, v in source.items())
+        else:
+            target.extend(map(copy, source))
+    return root
+
 
 def _fmt(value, digits=4) -> str:
     if value is None:
@@ -126,7 +155,7 @@ def render(doc: dict) -> str:
     if not isinstance(kind, str) or kind not in _RENDERERS:
         raise ValueError(f"unknown document kind: {kind!r}")
     try:
-        return _RENDERERS[kind](doc)
+        return _RENDERERS[kind](_escaped(doc))
     except KeyError as exc:
         raise ValueError(f"{kind} document lacks field {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:

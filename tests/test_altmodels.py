@@ -15,7 +15,7 @@ from heavytails import (CitationSample, DiscretePowerLaw, compare_models,
 from heavytails.altmodels import (_ERFCX_CHEB, FAMILIES, AltFit, _chi2_1_sf,
                                   _cutoff_model, _cutoff_moments, _erfcx,
                                   _log_ndtr, _lognormal_logpmf,
-                                  _lognormal_model, _mills, _ndtri_exp, _vuong)
+                                  _lognormal_model, _mills, _vuong)
 from heavytails.powerlaw import PowerLawFit, _distinct
 
 
@@ -73,21 +73,6 @@ class TestNormalKernel:
         x = z * math.sqrt(0.5)
         # measured: 7.1e-16
         assert_allclose(_erfcx(x), special.erfcx(x), rtol=2e-15)
-
-    def test_inverse_against_scipy(self):
-        y = np.concatenate([-np.logspace(-300, 300, 601),
-                            np.log(np.linspace(1e-6, 1.0 - 1e-12, 600)),
-                            [math.log(0.5), -5e-324]])
-        # measured: 5.4e-13 relative, at y = -1e5; 6.9e-16 absolute where
-        # |z| < 1
-        assert_allclose(_ndtri_exp(y), special.ndtri_exp(y), rtol=1e-12,
-                        atol=1e-15)
-        # at y = -1e5 mpmath sides with _ndtri_exp, within 1.3e-16
-        with mpmath.workdps(40):
-            exact = float(mpmath.findroot(
-                lambda t: mpmath.log(mpmath.ncdf(t)) + 100000, -447.0))
-        assert _ndtri_exp(-1e5) == pytest.approx(exact, rel=5e-16)
-        assert list(_ndtri_exp([0.0, -np.inf])) == [np.inf, -np.inf]
 
     def test_vuong_p_against_ndtr(self):
         # d = (m + 1, m - 1) gives z = sqrt(2) m
@@ -429,6 +414,14 @@ class TestCompareModels:
         with pytest.raises(ValueError, match="unknown family"):
             fit_alternative(pl_tail_sample, 10, "weibull")
 
+    def test_repeated_family_rejected(self, pl_tail_sample):
+        # two identical rows would read as two independent tests
+        pl = fit_power_law(pl_tail_sample, x_min=10, bootstrap_reps=0)
+        with pytest.raises(ValueError,
+                           match="^repeated family: exponential, lognormal$"):
+            compare_models(pl_tail_sample, pl, ("lognormal", "exponential",
+                                                "lognormal", "exponential"))
+
 
 class TestSampleAlternative:
     def test_deterministic(self):
@@ -486,6 +479,10 @@ class TestSampleAlternative:
         with pytest.raises(ValueError, match="parameters must be finite"):
             sample_alternative(
                 AltFit("powerlaw_cutoff", (1.5, np.nan), 1, 0.0), 5, 1)
+        # the cutoff fit's lower edge; below it the sampler slows without bound
+        with pytest.raises(ValueError, match="^alpha must be at least -5$"):
+            sample_alternative(
+                AltFit("powerlaw_cutoff", (-5.000001, 1.0), 1, 0.0), 5, 1)
 
     @pytest.mark.parametrize("fit, message", [
         (AltFit("weibull", (2.0, 0.1), 1, 0.0), "unknown family: 'weibull'"),

@@ -148,9 +148,13 @@ class TestSimulate:
         ("powerlaw_cutoff", ["--alpha", 0.5, "--rate", 1e-300],
          "sampled value exceeds the integer range; the tail is too heavy "
          "for exact inversion"),
+        # the sampler's acceptance falls as 1 / sqrt(-alpha)
+        ("powerlaw_cutoff", ["--alpha=-1e300", "--rate", 1],
+         "alpha must be at least -5"),
     ], ids=["powerlaw-nan", "powerlaw-inf", "cutoff-xmin-neg", "cutoff-xmin-0",
             "lognormal-xmin-0", "lognormal-mu-nan", "lognormal-sigma-nan",
-            "exponential-nan", "exponential-xmin-0", "cutoff-rate-tiny"])
+            "exponential-nan", "exponential-xmin-0", "cutoff-rate-tiny",
+            "cutoff-alpha-very-negative"])
     def test_bad_model_rejected_promptly(self, tmp_path, family, given,
                                          message):
         # in a fresh interpreter with a timeout: some of these once hung
@@ -171,6 +175,24 @@ class TestSimulate:
                              timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert read_counts(path).counts.tolist() == [1] * 5
+
+    @pytest.mark.parametrize("given, xmin, draw", [
+        # the truncation point lies 1e300 and 1e160 sigmas above mu
+        (["--mu=-1e300", "--sigma", 1], 1, 1),
+        (["--mu=-1e150", "--sigma", 1e-10], 1, 1),
+        # a point mass at e^mu, rounded, or x_min if that is larger
+        (["--mu", 3, "--sigma", 5e-324], 1, 20),
+        (["--mu", 3, "--sigma", 5e-324], 25, 25),
+    ], ids=["mu-far-below", "sigma-tiny-mu-far-below", "sigma-least",
+            "sigma-least-below-xmin"])
+    def test_extreme_lognormal_draws_promptly(self, tmp_path, given, xmin,
+                                              draw):
+        path = tmp_path / "x.txt"
+        proc = fresh_process("heavytails.cli", "simulate", "--family",
+                             "lognormal", *given, "--xmin", xmin, "--n", 5,
+                             "--output", path, module=True, timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert read_counts(path).counts.tolist() == [draw] * 5
 
     @pytest.mark.parametrize("family, given, missing", [
         ("powerlaw", [], "--alpha"),
@@ -400,6 +422,15 @@ class TestCompareCommand:
                    "--alternatives", "weibull")
         assert code == 1
         assert "unknown family" in capsys.readouterr().err
+
+    def test_repeated_family_writes_nothing(self, counts_file, tmp_path,
+                                            capsys):
+        out = tmp_path / "out"
+        code = run("compare", "--input", counts_file, "--outdir", out,
+                   "--alternatives", "lognormal, exponential,lognormal")
+        assert code == 1
+        assert capsys.readouterr().err == "error: repeated family: lognormal\n"
+        assert not out.exists()
 
 
 class TestScalingCommand:
@@ -835,6 +866,36 @@ class TestReportCommand:
         assert "+/-" in text
         assert run("report", "--input", out / "gof.json") == 0
         assert "power law" in capsys.readouterr().out
+
+    def test_control_characters_escaped_before_layout(self, counts_file,
+                                                      tmp_path, capsys):
+        # a raw carriage return would overwrite the row's start on a
+        # terminal, and count as one column of width
+        out = tmp_path / "out"
+        assert run("fit", "--input", counts_file, "--outdir", out,
+                   "--bootstrap", 0, "--label", "evil\rX\x85") == 0
+        capsys.readouterr()
+        assert run("report", "--input", out / "fit.json") == 0
+        header, rule, row = capsys.readouterr().out.splitlines()[1:]
+        assert row.startswith("evil\\rX\\x85  1 +/- ")
+        assert rule.split()[0] == "-" * len("evil\\rX\\x85")
+        assert header.index("x_min") == row.index("1 +/- ")
+
+    def test_renders_a_document_nested_as_deep_as_json_parses(self, tmp_path,
+                                                              capsys):
+        # the escape pass copies the document without recursing
+        depth = 450
+        doc = {"document": "gof", "label": "x", "x_min": 1, "alpha": 2.5,
+               "ks_empirical": 0.1, "n_sims": 3, "n_exceeding": 1,
+               "p_value": 0.3, "ruled_out": False}
+        text = json.dumps(doc)[:-1] + (', "extra": ' + '{"a": [' * depth
+                                       + "]}" * depth + "}")
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        json.loads(text)  # within what json parses
+        assert run("report", "--input", deep) == 0
+        assert capsys.readouterr().out.startswith(
+            "goodness of fit for x (x_min 1, alpha 2.5)\n")
 
     def test_rejects_unknown_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -681,11 +681,11 @@ class TestSampling:
     @pytest.mark.parametrize("draw,digest", [
         (lambda: sample_power_law(DiscretePowerLaw(1, 1.5), 3000, seed=5),
          "b98427b62fa195565af95ee5aa96b9cb37aeee11b0f26358408ead427708bc76"),
-        # about 9% of these draws lie past 2**23, some past 1e13; the numpy
-        # inverse of log_ndtr moved the one at 3.24e16 nearer its exact value
+        # about 9% of these draws lie past 2**23, one past 1e14; at c = 0.10
+        # they come from the exponential envelope
         (lambda: sample_alternative(AltFit("lognormal", (0.0, 9.0), 3, 0.0),
                                     3000, seed=5),
-         "1890cde9344aefed24acb172747a92df59e62162fa94f050cbee4a5c8304cdeb"),
+         "d7e7f0915593acf663b58d6c69be4d3812a974b50f01c5cf1f06cf2f4576e8de"),
         (lambda: sample_alternative(AltFit("exponential", (0.05,), 1, 0.0),
                                     3000, seed=5),
          "a1e55f92dfdd8961f0a9cd0208d732c6372be24bfa37021df26807f28ec564d4"),

@@ -64,9 +64,13 @@ def test_power_law_frequencies(alpha, x_min):
 
 
 # mu = -10 at sigma = 9 keeps the mass past 2**62, where a draw raises, at
-# 2e-8; about 3% of it lies past DENSE_CAP, in the open last bin
+# 2e-8; about 3% of it lies past DENSE_CAP, in the open last bin.  The
+# standardized truncation point c = (log(x_min - 1/2) - mu) / sigma is
+# +0.010, -0.014 and 8.0 in the last three, on either side of the switch
+# from normal to exponential proposals at c = 0, and far above it
 @pytest.mark.parametrize("mu,sigma,x_min", [
-    (1.0, 0.8, 3), (0.0, 2.0, 10), (-10.0, 9.0, 3)])
+    (1.0, 0.8, 3), (0.0, 2.0, 10), (-10.0, 9.0, 3),
+    (0.906, 1.0, 3), (0.93, 1.0, 3), (2.907, 0.5, 1000)])
 def test_lognormal_frequencies(mu, sigma, x_min):
     fit = AltFit("lognormal", (mu, sigma), x_min, 0.0)
     draws = sample_alternative(fit, N_DRAWS, seed=1).counts
@@ -79,7 +83,7 @@ def test_lognormal_frequencies(mu, sigma, x_min):
 # (1, 1e-7) spreads its mass far out: about 8% of it lies past DENSE_CAP,
 # in the open last bin
 @pytest.mark.parametrize("alpha,rate", [
-    (a, r) for a in (-2.0, 0.5, 1.2, 2.5) for r in (1e-4, 0.1, 5.0)
+    (a, r) for a in (-5.0, -2.0, 0.5, 1.2, 2.5) for r in (1e-4, 0.1, 5.0)
 ] + [(1.0, 1e-7)])
 def test_cutoff_frequencies(alpha, rate):
     x_min = 5
