@@ -8,7 +8,9 @@ between citation impact and output across subfields.
 
 Exports and submodules load on first use (PEP 562), so a command that
 needs no numpy imports none: `ingest`, `scaling`, `report` and
-`--version` are such commands.  The others need numpy alone.
+`--version` are such commands.  The others need numpy alone.  `--version`
+and `report` load neither OpenSSL, through hashlib, nor the document
+writer.
 """
 
 from importlib import import_module

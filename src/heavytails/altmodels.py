@@ -164,7 +164,22 @@ def _exponential_logpmf(x: np.ndarray, rate: float, q: int) -> np.ndarray:
     return -rate * (x - q) + np.log(-np.expm1(-rate))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# 20-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
+# weights, as numpy's leggauss(20) gives them, mirrored as it mirrors them
+_GL_HALF = np.array([
+    (0.07652652113349734, 0.15275338713072628),
+    (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824),
+    (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186),
+    (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471),
+    (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446),
+    (0.993128599185095, 0.017614007139150893),
+])
+_GL_NODES = np.r_[-_GL_HALF[::-1, 0], _GL_HALF[:, 0]]
+_GL_WEIGHTS = np.r_[_GL_HALF[::-1, 1], _GL_HALF[:, 1]]
 # B_2j / 2j, j = 1..6: Euler-Maclaurin's B_2j / (2j)! g^(2j-1) in terms of
 # the Taylor coefficient t_(2j-1) = g^(2j-1) / (2j-1)!; B_14 / 14 is 1/12
 _EM_TAYLOR = np.array([1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760])
@@ -415,10 +430,20 @@ def _fit_cutoff(values, counts, q, anchor=None):
     return AltFit("powerlaw_cutoff", (float(alpha), float(rate)), q, ll)
 
 
+def _check_families(families: tuple[str, ...]) -> None:
+    """Raise ValueError if a family is named twice, or is not one of
+    FAMILIES; the callers check before any fit."""
+    repeated = sorted({f for f in families if families.count(f) > 1})
+    if repeated:
+        raise ValueError(f"repeated family: {', '.join(repeated)}")
+    for family in families:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family: {family!r}")
+
+
 def _fit(family: str, values, counts, q: int, anchor=None) -> AltFit:
-    """MLE of one family on a tail's digest; ``anchor`` serves the cutoff."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family: {family!r}")
+    """MLE of one family, checked by the caller, on a tail's digest;
+    ``anchor`` serves the cutoff."""
     if family == "lognormal":
         return _fit_lognormal(values, counts, q)
     if family == "exponential":
@@ -428,6 +453,7 @@ def _fit(family: str, values, counts, q: int, anchor=None) -> AltFit:
 
 def fit_alternative(sample: CitationSample, x_min: int, family: str) -> AltFit:
     """MLE of a discretized alternative on the tail x >= x_min."""
+    _check_families((family,))
     x_min = _lower_bound(x_min)
     values, counts = np.array(_distinct(sample.counts, x_min), dtype=np.float64)
     return _fit(family, values, counts, x_min)
@@ -467,12 +493,10 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
     lr is the power-law tail log-likelihood minus the alternative's, both
     over the same tail.  Non-nested families get a two-sided normal p from
     the variance-normalized statistic; the nested cutoff gets a chi-square
-    p on 2|lr| with one degree of freedom.  A family named twice raises
-    ValueError.
+    p on 2|lr| with one degree of freedom.  A family that is unknown or
+    named twice raises ValueError before any fit.
     """
-    repeated = sorted({f for f in alternatives if alternatives.count(f) > 1})
-    if repeated:
-        raise ValueError(f"repeated family: {', '.join(repeated)}")
+    _check_families(alternatives)
     values, counts = np.array(_distinct(sample.counts, pl.x_min),
                               dtype=np.float64)
     pl_logpmf = pl.model().logpmf(values)

@@ -6,22 +6,19 @@ progress notes go to stderr so data streams stay clean.  All randomness
 flows from --seed, and results are identical for any --threads value.
 Each command imports the package modules it runs, when it runs, so that
 `ingest`, `scaling`, `report` and `--version` run without numpy, and the
-other commands with numpy alone.
+other commands with numpy alone.  `--version` and `report` load neither
+OpenSSL, through hashlib, nor the document writer.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import shlex
 import sys
 from pathlib import Path
 
-from . import documents
 from ._constants import (DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL,
                          DEFAULT_SIMS, FAMILIES, FAMILY_PARAMS, MODES)
 from ._version import __version__
-from .report import _CONTROL_ESCAPES, render
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -59,9 +56,31 @@ _LEAST = {"threads": 1, "seed": 0, "bootstrap": 0, "min_tail": 0, "sims": 1,
           "n": 1}
 
 
+def _deferred(name: str):
+    """This module's global ``documents`` or ``render``, imported on first
+    use: documents' digests load hashlib, and with it OpenSSL, which
+    `report` and `--version` never need.  The commands call through these
+    globals, so that whoever replaces one (a tracer) sees every call."""
+    if name not in globals():
+        if name == "documents":
+            from . import documents as value
+        else:
+            from .report import render as value
+        globals()[name] = value
+    return globals()[name]
+
+
+def __getattr__(name: str):
+    if name in ("documents", "render"):
+        return _deferred(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _recorded(args, names) -> str:
     """The command line that reruns ``args``: each named option that is
     set, in the given order, a true switch as a bare flag."""
+    import shlex
+
     parts = [args.command]
     for name in names:
         value = getattr(args, name)
@@ -199,6 +218,7 @@ def _cmd_fit(args) -> None:
                         bootstrap_reps=args.bootstrap, seed=args.seed,
                         workers=args.threads)
     command = _recorded(args, _RECORDED[args.command])
+    documents = _deferred("documents")
     digest = documents.file_digest(args.input)
     if args.command == "fit":
         args.outdir.mkdir(parents=True, exist_ok=True)
@@ -221,22 +241,22 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    from .altmodels import compare_models
+    from .altmodels import _check_families, compare_models
     from .dataset import read_counts
     from .powerlaw import fit_power_law
 
-    sample = read_counts(args.input, label=args.label)
-    # compare_models rejects an unknown or repeated family, and nothing is
-    # written before it returns
     alternatives = tuple(a.strip() for a in args.alternatives.split(",")
                          if a.strip())
     if not alternatives:
         raise ValueError("--alternatives names no family")
+    _check_families(alternatives)
+    sample = read_counts(args.input, label=args.label)
     fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
                         bootstrap_reps=0, seed=args.seed)
     comparisons = compare_models(sample, fit, alternatives)
     command = _recorded(args, _RECORDED["compare"])
     args.outdir.mkdir(parents=True, exist_ok=True)
+    documents = _deferred("documents")
     doc = documents.compare_document(comparisons, fit, sample.label,
                                      command=command, seed=args.seed,
                                      input_digest=documents.file_digest(args.input))
@@ -264,6 +284,7 @@ def _cmd_scaling(args) -> None:
         tables[mode] = scatter_table(points, fit)
     command = _recorded(args, _RECORDED["scaling"])
     args.outdir.mkdir(parents=True, exist_ok=True)
+    documents = _deferred("documents")
     doc = documents.scaling_document(results, command=command, seed=args.seed,
                                      input_digest=documents.file_digest(args.input))
     documents.write_document(doc, args.outdir / "scaling.json")
@@ -338,6 +359,9 @@ def _cmd_ingest(args) -> None:
         write_counts(args.outdir / f"counts_{mode}.txt", sorted(values),
                      [f"heavytails {__version__}", f"command: {command}",
                       f"mode: {mode}"])
+    # the digests load OpenSSL only now, once export_rows has freed the
+    # record ids it kept to find duplicates
+    documents = _deferred("documents")
     doc = documents.ingest_document(
         command=command, seed=args.seed,
         input_digest=documents.file_digest(args.input),
@@ -349,8 +373,10 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    import json
+
     doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    print(render(doc))
+    print(_deferred("render")(doc))
 
 
 def main(argv=None) -> int:
@@ -364,6 +390,7 @@ def main(argv=None) -> int:
                                  f"least {least}")
         args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
+        from .report import _CONTROL_ESCAPES
         print("error: " + str(exc).translate(_CONTROL_ESCAPES), file=sys.stderr)
         return 1
     return 0

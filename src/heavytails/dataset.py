@@ -10,7 +10,6 @@ reading aggregates and writing counts load none.
 from __future__ import annotations
 
 import re
-import statistics
 from dataclasses import astuple, dataclass, fields
 from itertools import groupby
 from pathlib import Path
@@ -177,12 +176,15 @@ def summarize(sample: CitationSample,
     tc = cites if total_citations is None else int(total_citations)
     if tp < n or tc < cites:
         raise ValueError("corpus totals smaller than the sample itself")
+    # the central count of the sorted counts, or the two central ones added
+    # as Python ints: two int64 counts near 2**63 would overflow
+    mid = sample.counts[(n - 1) // 2:n // 2 + 1].tolist()
     return SummaryStats(
         n_papers=n,
         n_citations=cites,
         share_papers=n / tp if tp else 0.0,
         share_citations=cites / tc if tc else 0.0,
-        median_citations=float(statistics.median(sample.counts.tolist())),
+        median_citations=sum(mid) / len(mid),
     )
 
 

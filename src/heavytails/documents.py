@@ -8,7 +8,6 @@ indentation; equal results serialize to equal bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -39,12 +38,18 @@ __all__ = [
 DOCUMENT_KINDS = ("fit", "gof", "compare", "scaling", "ingest")
 
 
+# hashlib is imported by the two digests, its only users: it loads OpenSSL,
+# which a command needs only once it digests its input
 def content_digest(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
 def file_digest(path: str | Path) -> str:
     """content_digest of the file's bytes, read in 1 MiB chunks."""
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):

@@ -12,8 +12,8 @@ from scipy.stats import chi2, norm
 from heavytails import (CitationSample, DiscretePowerLaw, compare_models,
                         fit_alternative, fit_power_law, sample_alternative,
                         sample_power_law)
-from heavytails.altmodels import (_ERFCX_CHEB, FAMILIES, AltFit, _chi2_1_sf,
-                                  _cutoff_model, _cutoff_moments, _erfcx,
+from heavytails.altmodels import (_ERFCX_CHEB, _GL_NODES, _GL_WEIGHTS,
+                                  FAMILIES, AltFit, _chi2_1_sf, _cutoff_model, _cutoff_moments, _erfcx,
                                   _log_ndtr, _lognormal_logpmf,
                                   _lognormal_model, _mills, _vuong)
 from heavytails.powerlaw import PowerLawFit, _distinct
@@ -102,6 +102,13 @@ class TestCutoffNormalizer:
     def test_against_lerch_transcendent(self, alpha, rate, q):
         assert_allclose(_cutoff_moments(alpha, rate, q)[0],
                         _lerch_log_z(alpha, rate, q), rtol=1e-13)
+
+    def test_gauss_legendre_table_is_leggauss(self):
+        # the module keeps a literal table, so that it never loads
+        # numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 class TestExponentialFit:
@@ -413,6 +420,9 @@ class TestCompareModels:
     def test_unknown_family_rejected(self, pl_tail_sample):
         with pytest.raises(ValueError, match="unknown family"):
             fit_alternative(pl_tail_sample, 10, "weibull")
+        pl = fit_power_law(pl_tail_sample, x_min=10, bootstrap_reps=0)
+        with pytest.raises(ValueError, match="^unknown family: 'weibull'$"):
+            compare_models(pl_tail_sample, pl, ("lognormal", "weibull"))
 
     def test_repeated_family_rejected(self, pl_tail_sample):
         # two identical rows would read as two independent tests

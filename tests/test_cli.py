@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via cli.main."""
 
+import ast
 import json
 import os
 import shlex
@@ -422,6 +423,14 @@ class TestCompareCommand:
                    "--alternatives", "weibull")
         assert code == 1
         assert "unknown family" in capsys.readouterr().err
+
+    def test_family_checked_before_the_input_is_read(self, tmp_path, capsys):
+        # and so before any fit
+        code = run("compare", "--input", tmp_path / "missing.txt",
+                   "--outdir", tmp_path, "--alternatives",
+                   "lognormal,weibull")
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown family: 'weibull'\n"
 
     def test_repeated_family_writes_nothing(self, counts_file, tmp_path,
                                             capsys):
@@ -950,16 +959,39 @@ def fresh_python(code, *args, cwd=None, module=False):
 
 
 # runs one command, then prints its exit code and which of the modules named
-# by its first argument (comma-separated) it loaded
+# by its first argument (comma-separated) it loaded, as a Python literal: it
+# imports no json, so that a command can be seen not to load it
 COMMAND_PROBE = """
-import json, sys
+import sys
 from heavytails.cli import main
 watched = sys.argv.pop(1).split(",")
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, [m for m in watched if m in sys.modules]]))
+print(repr([code, [m for m in watched if m in sys.modules]]))
+"""
+
+
+def probe_command(watched, *argv, cwd):
+    """[exit code, the watched modules loaded] of one command."""
+    out = fresh_python(COMMAND_PROBE, ",".join(watched), *argv, cwd=cwd)
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+# wraps export_rows to note, once ingest's row loop has run dry, whether
+# hashlib is loaded; then prints the exit code, that note, and whether
+# hashlib is loaded at the end
+INGEST_PROBE = """
+import sys
+import heavytails.ingest as ingest
+from heavytails.cli import main
+rows, seen = ingest.export_rows, []
+def export_rows(*args):
+    yield from rows(*args)
+    seen.append("hashlib" in sys.modules)
+ingest.export_rows = export_rows
+print(repr([main(sys.argv[1:]), seen, "hashlib" in sys.modules]))
 """
 
 NAMESPACE_PROBE = """
@@ -997,30 +1029,44 @@ class TestImports:
                    tmp_path / "doc", "--bootstrap", 0) == 0
         return tmp_path
 
+    # numpy.random loads hashlib itself; the commands that write a document
+    # load it, with json and shlex, only to record and digest their inputs
+    WATCHED = ("numpy", "scipy", "concurrent.futures", "numpy.polynomial",
+               "statistics", "hashlib", "shlex", "json",
+               "heavytails.documents", "heavytails.report")
+    RECORDED = ["hashlib", "shlex"]
+    WRITER = ["hashlib", "shlex", "json", "heavytails.documents"]
+
     @pytest.mark.parametrize("argv, loaded", [
         (["--version"], []),
-        (["report", "--input", "doc/fit.json"], []),
+        (["report", "--input", "doc/fit.json"], ["json", "heavytails.report"]),
         (["simulate", "--family", "powerlaw", "--n", 100, "--alpha", 2.5,
-          "--output", "sim.txt"], ["numpy"]),
+          "--output", "sim.txt"], ["numpy", *RECORDED]),
         (["simulate", "--family", "lognormal", "--n", 100, "--mu", 1.0,
-          "--sigma", 1.5, "--output", "sim.txt"], ["numpy"]),
+          "--sigma", 1.5, "--output", "sim.txt"], ["numpy", *RECORDED]),
         (["fit", "--input", "counts.txt", "--outdir", "out", "--bootstrap",
-          5, "--gof", "--sims", 5], ["numpy"]),
+          5, "--gof", "--sims", 5], ["numpy", *WRITER]),
         # a job this small starts no process pool
         (["fit", "--input", "counts.txt", "--outdir", "out", "--bootstrap",
-          5, "--gof", "--sims", 5, "--threads", 2], ["numpy"]),
+          5, "--gof", "--sims", 5, "--threads", 2], ["numpy", *WRITER]),
         (["gof", "--input", "counts.txt", "--outdir", "out", "--sims", 5],
-         ["numpy"]),
+         ["numpy", *WRITER]),
         (["ingest", "--input", "export.tsv", "--map", "map.csv", "--outdir",
-          "out"], []),
-        (["compare", "--input", "counts.txt", "--outdir", "out"], ["numpy"]),
-        (["scaling", "--input", "aggregates.tsv", "--outdir", "out"], []),
+          "out"], WRITER),
+        (["compare", "--input", "counts.txt", "--outdir", "out"],
+         ["numpy", *WRITER]),
+        (["scaling", "--input", "aggregates.tsv", "--outdir", "out"], WRITER),
     ], ids=["version", "report", "simulate", "simulate-lognormal", "fit",
             "fit-threads", "gof", "ingest", "compare", "scaling"])
     def test_command_imports_only_what_it_runs(self, workdir, argv, loaded):
-        out = fresh_python(COMMAND_PROBE, "numpy,scipy,concurrent.futures",
-                           *argv, cwd=workdir)
-        assert json.loads(out.splitlines()[-1]) == [0, loaded]
+        assert probe_command(self.WATCHED, *argv, cwd=workdir) == [0, loaded]
+
+    def test_ingest_keeps_its_rows_before_hashlib_loads(self, workdir):
+        # the row loop sets ingest's peak memory; OpenSSL loads after it,
+        # for the digests
+        out = fresh_python(INGEST_PROBE, "ingest", "--input", "export.tsv",
+                           "--map", "map.csv", "--outdir", "out", cwd=workdir)
+        assert ast.literal_eval(out.splitlines()[-1]) == [0, [False], True]
 
     def test_reading_aggregates_loads_no_numpy(self, workdir):
         probe = ("import sys\nfrom heavytails.dataset import read_aggregates\n"
@@ -1061,9 +1107,8 @@ class TestImports:
         ["--version"], ["report", "--input", "doc/fit.json"],
     ], ids=["version", "report"])
     def test_light_commands_load_no_dataclasses(self, workdir, argv):
-        out = fresh_python(COMMAND_PROBE, "dataclasses,inspect", *argv,
-                           cwd=workdir)
-        assert json.loads(out.splitlines()[-1]) == [0, []]
+        assert probe_command(["dataclasses", "inspect"], *argv,
+                             cwd=workdir) == [0, []]
 
     def test_module_runs_as_a_script(self):
         out = fresh_python("heavytails.cli", "--version", module=True)

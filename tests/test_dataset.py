@@ -1,5 +1,6 @@
 """Sample containers, summaries, partition shares, and file round trips."""
 
+import statistics
 from array import array
 
 import numpy as np
@@ -80,6 +81,17 @@ class TestCitationSample:
 
 
 class TestSummarize:
+    # the two central counts are summed as Python ints: 2**63 - 1 twice
+    # overflows int64
+    @pytest.mark.parametrize("values", [
+        [7], [3, 1, 2], [1, 2], [4, 0, 9, 9], [2**63 - 1, 2**63 - 1],
+        [0, 2**63 - 1, 2**63 - 1, 2**63 - 1], [0, 2**63 - 1], [5, 2**62 + 1],
+    ])
+    def test_median_is_statistics_median(self, values):
+        median = summarize(CitationSample(values)).median_citations
+        assert type(median) is float
+        assert median == float(statistics.median(values))
+
     def test_median_even_sample(self):
         s = CitationSample(np.array([1, 2, 3, 10]), label="s")
         stats = summarize(s)
