@@ -355,8 +355,8 @@ def _cmd_ingest(args) -> None:
     _write_csv(args.outdir / "rejections.tsv", "row\treason", rejections,
                sep="\t")
     command = _recorded(args, _RECORDED["ingest"])
-    for mode, values in modes.items():
-        write_counts(args.outdir / f"counts_{mode}.txt", sorted(values),
+    for mode, digest in modes.items():
+        write_counts(args.outdir / f"counts_{mode}.txt", digest,
                      [f"heavytails {__version__}", f"command: {command}",
                       f"mode: {mode}"])
     # the digests load OpenSSL only now, once export_rows has freed the
@@ -366,9 +366,9 @@ def _cmd_ingest(args) -> None:
         command=command, seed=args.seed,
         input_digest=documents.file_digest(args.input),
         map_digest=documents.file_digest(args.map),
-        n_records=len(modes.get("overall", ())),
+        n_records=modes["overall"].total() if modes else 0,
         n_rejections=len(rejections), n_subfields=len(aggregates),
-        mode_counts={mode: len(values) for mode, values in modes.items()})
+        mode_counts={mode: digest.total() for mode, digest in modes.items()})
     documents.write_document(doc, args.outdir / "ingest.json")
 
 

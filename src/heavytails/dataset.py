@@ -10,8 +10,11 @@ reading aggregates and writing counts load none.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass, fields
 from itertools import groupby
+from operator import countOf
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -34,6 +37,8 @@ __all__ = [
 
 # every count is below 2**63, so that it has an int64 slot
 _COUNT_LIMIT = 1 << 63
+# characters read_counts reads at a time
+_BLOCK = 1 << 20
 
 AGGREGATE_COLUMNS = (
     "subfield",
@@ -218,17 +223,26 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
 
     Blank lines and lines starting with ``#`` are ignored; both LF and CRLF
     endings are accepted.  A count is written in ASCII digits only and is
-    below 2**63.
+    below 2**63.  The file is read as a digest of its lines, each distinct
+    line with its number of copies, so each distinct count is converted
+    once.
     """
     import numpy as np
 
     path = Path(path)
+    lines: Counter[str] = Counter()
     with open(path, "r", encoding="utf-8", newline=None) as fh:
-        lines = fh.read().split("\n")
+        rest = ""
+        while block := fh.read(_BLOCK):
+            whole = (rest + block).split("\n")
+            # the block's last line may go on in the next block
+            rest = whole.pop()
+            lines.update(whole)
+    lines[rest] += 1
     data = [line for line in lines if line and line[0] != "#"]
     digits = "".join(data)
     # the common file, bare digits between comments, converts in one go;
-    # anything else takes the line-by-line parser, which words the error
+    # anything else takes the line parser, which words the error
     values = None
     if data and digits.isascii() and digits.isdigit():
         try:
@@ -236,37 +250,60 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
         except OverflowError:
             pass
     if values is None:
-        values = []
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = _parse_int(line)
-            except ValueError:
-                raise ValueError(f"{path.name}:{lineno}: not a base-10 integer: {line!r}") from None
-            if value < 0:
-                raise ValueError(f"{path.name}:{lineno}: negative count {value}")
-            if value >= _COUNT_LIMIT:
-                raise ValueError(f"{path.name}:{lineno}: count out of range")
-            values.append(value)
-    if not len(values):
+        try:
+            parsed = [_count_line(line) for line in lines]
+        except ValueError:
+            # name the first bad line, by its number
+            with open(path, "r", encoding="utf-8", newline=None) as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    try:
+                        _count_line(line)
+                    except ValueError as exc:
+                        raise ValueError(f"{path.name}:{lineno}: {exc}") from None
+            raise
+        data = [line for line, value in zip(lines, parsed) if value is not None]
+        values = np.array([value for value in parsed if value is not None],
+                          dtype=np.int64)
+    values = np.repeat(values, [lines[line] for line in data])
+    if not values.size:
         raise ValueError("empty dataset")
     return CitationSample(values, label=label if label is not None else path.stem)
 
 
-def write_counts(path: str | Path, counts: Iterable[int],
+def _count_line(raw: str) -> int | None:
+    """The count on one line of a counts file, None on a blank or comment
+    line; a ValueError says what is wrong with the line."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    try:
+        value = _parse_int(line)
+    except ValueError:
+        raise ValueError(f"not a base-10 integer: {line!r}") from None
+    if value < 0:
+        raise ValueError(f"negative count {value}")
+    if value >= _COUNT_LIMIT:
+        raise ValueError("count out of range")
+    return value
+
+
+def write_counts(path: str | Path, counts: Iterable[int] | Mapping[int, int],
                  header: Iterable[str] = ()) -> None:
     """Write counts one per line; header lines are emitted as ``#`` comments,
-    one per piece of a header line that holds line breaks."""
-    if hasattr(counts, "tolist"):  # an ndarray or array
-        counts = counts.tolist()  # Python ints format faster
+    one per piece of a header line that holds line breaks.  ``counts`` is
+    either the counts, written in their order, or a value -> count digest,
+    written in ascending value order."""
+    if isinstance(counts, Mapping):
+        runs = sorted(counts.items())
+    else:
+        if hasattr(counts, "tolist"):  # an ndarray or array
+            counts = counts.tolist()  # Python ints format faster
+        # a sample's counts are sorted: each run of equal values is one string
+        runs = ((value, countOf(run, value)) for value, run in groupby(counts))
     # read_counts breaks lines at \r, \n and \r\n
     lines = [f"# {piece}\n" for line in header
              for piece in re.split(r"\r\n?|\n", line)]
-    # a sample's counts are sorted: each run of equal values is one string
-    lines += [f"{int(value)}\n" * len(list(run))
-              for value, run in groupby(counts)]
+    lines += [f"{int(value)}\n" * n for value, n in runs]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(lines))
 

@@ -9,7 +9,7 @@ reason; nothing is discarded silently.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -75,8 +75,9 @@ def export_rows(lines: Iterable[str],
     citation count or year, a count of 2**63 or more, no authors, missing
     or duplicate id) has ``row`` None and a ``reason``.  Line numbers are
     1-based, header included.  The header is checked at the first
-    ``next()``, which raises on a missing header or a header lacking a
-    required column.
+    ``next()``, which raises on a missing header, or a header lacking a
+    required column or naming one twice.  Ids are compared as their
+    UTF-8 bytes.
     """
     cols = dict(DEFAULT_COLUMNS)
     if columns:
@@ -86,19 +87,24 @@ def export_rows(lines: Iterable[str],
         header_line = next(it)
     except StopIteration:
         raise ValueError("empty file") from None
-    header = header_line.rstrip("\r\n").split("\t")
-    position = {name.strip(): i for i, name in enumerate(header)}
+    header = [name.strip()
+              for name in header_line.rstrip("\r\n").split("\t")]
+    position = {name: i for i, name in enumerate(header)}
     index: dict[str, int] = {}
     for field, name in cols.items():
         if name not in position:
             raise ValueError(f"missing required column: {name}")
+        if header.count(name) > 1:
+            raise ValueError(f"duplicate column: {name}")
         index[field] = position[name]
     width = max(index.values()) + 1
     i_authors, i_journal, i_doc_type, i_citations, i_year, i_id = (
         index[field] for field in ("authors", "journal", "doc_type",
                                    "citations", "year", "record_id"))
 
-    seen: set[str] = set()
+    # the ids' UTF-8 bytes take less memory than the ids; surrogatepass
+    # encodes every str, lone surrogates too, and no two strs alike
+    seen: set[bytes] = set()
     for lineno, line in enumerate(it, start=2):
         if not line or line.isspace():
             continue
@@ -142,10 +148,11 @@ def export_rows(lines: Iterable[str],
         if not record_id:
             yield lineno, None, "missing record id"
             continue
-        if record_id in seen:
+        key = record_id.encode("utf-8", "surrogatepass")
+        if key in seen:
             yield lineno, None, f"duplicate record id: {record_id}"
             continue
-        seen.add(record_id)
+        seen.add(key)
         yield lineno, (record_id, authors, fields[i_journal].strip(),
                        doc_type, citations, year), None
 
@@ -258,11 +265,15 @@ def build_aggregates(records: Sequence[BiblioRecord],
 
 def mode_samples(records: Sequence[BiblioRecord]) -> dict[str, CitationSample]:
     """Citation-count samples for overall/collaboration/single partitions."""
+    import numpy as np
+
     kept = KeptRows()
     for rec in records:
         kept.add(0, rec.authors, rec.journal, rec.citations)
-    return {mode: CitationSample(values, label=mode)
-            for mode, values in _modes(kept.groups.values()).items()}
+    return {mode: CitationSample(np.repeat(np.array(list(digest), np.int64),
+                                           list(digest.values())),
+                                 label=mode)
+            for mode, digest in _modes(kept.groups.values()).items()}
 
 
 def filter_years(records: Sequence[BiblioRecord],
@@ -295,11 +306,11 @@ class KeptRows:
 
     def tally(self, classification: Mapping[str, tuple[str, str]],
               ) -> tuple[list[SubfieldAggregate], list[tuple[int, str]],
-                         dict[str, array]]:
+                         dict[str, Counter]]:
         """Per-subfield sums, split by collaboration, looking each journal
         up once.  Returns the aggregates sorted by subfield, the unmapped
         rows' rejections sorted by row, and the mapped rows' citations per
-        mode, as :func:`_modes` gives them."""
+        mode as value -> count digests, as :func:`_modes` gives them."""
         if not classification:
             raise ValueError("empty classification map")
         # subfield -> [field, papers_collab, papers_single, citations_collab,
@@ -328,13 +339,14 @@ class KeptRows:
                 rejections, _modes(mapped))
 
 
-def _modes(groups: Iterable[tuple[array, array, array]]) -> dict[str, array]:
-    """The overall, collaboration and single citations of the groups,
-    unsorted; an empty mode is left out."""
-    collab, single = array("q"), array("q")
+def _modes(groups: Iterable[tuple[array, array, array]],
+           ) -> dict[str, Counter]:
+    """Value -> count digests of the groups' overall, collaboration and
+    single citations; an empty mode is left out."""
+    collab, single = Counter(), Counter()
     for _, group_collab, group_single in groups:
-        collab += group_collab
-        single += group_single
+        collab.update(group_collab)
+        single.update(group_single)
     parts = {"overall": collab + single, "collaboration": collab,
              "single": single}
-    return {mode: values for mode, values in parts.items() if values}
+    return {mode: digest for mode, digest in parts.items() if digest}

@@ -759,6 +759,16 @@ class TestIngestSinglePass:
             "error: missing required column: TC\n")
         assert not (tmp_path / "out").exists()
 
+    def test_column_read_twice_is_reported_before_the_map_is_opened(
+            self, tmp_path, capsys):
+        export = tmp_path / "export.tsv"
+        export.write_text("PT\tAU\tSO\tDT\tTC\tPY\tUT\tTC\n"
+                          "J\tA; B\tJ1\tArticle\t5\t2001\tW1\t99\n")
+        assert run("ingest", "--input", export, "--map",
+                   tmp_path / "missing.csv", "--outdir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: duplicate column: TC\n"
+        assert not (tmp_path / "out").exists()
+
     def test_window_note_comes_before_a_bad_map(self, tmp_path, capsys,
                                                 export_lines):
         export = tmp_path / "export.tsv"
@@ -1092,13 +1102,14 @@ class TestImports:
                  "from heavytails.dataset import write_counts\n"
                  "values = [0, 3, 3, 12]\n"
                  "for name, counts in (('list', values), "
-                 "('array', array('q', values))):\n"
+                 "('array', array('q', values)), "
+                 "('digest', {12: 1, 0: 1, 3: 2})):\n"
                  "    write_counts(name, counts, header=['h'])\n"
                  "assert 'numpy' not in sys.modules\n"
                  "import numpy as np\n"
                  "write_counts('ndarray', np.array(values), header=['h'])\n")
         fresh_python(probe, cwd=tmp_path)
-        for name in ("list", "array", "ndarray"):
+        for name in ("list", "array", "digest", "ndarray"):
             assert (tmp_path / name).read_bytes() == b"# h\n0\n3\n3\n12\n"
 
     # documents imports dataclasses only when it builds a document: at

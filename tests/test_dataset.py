@@ -12,6 +12,7 @@ from heavytails import (
     AGGREGATE_COLUMNS,
     CitationSample,
     SubfieldAggregate,
+    dataset,
     partition_shares,
     read_aggregates,
     read_counts,
@@ -174,13 +175,27 @@ class TestCountsIO:
     # bare digits take the one-go conversion, the rest the line parser
     @pytest.mark.parametrize("text", [
         "3\n1\n4\n", "# h\n3\n\n1\n4", "3\r\n1\r\n4\r\n", " 3\n1 \n\t4\n",
-        "  # h\n3\n1\n4\n", "3\n   \n1\n4\n",
+        "  # h\n3\n1\n4\n", "3\n   \n1\n4\n", "3\n1\n4", "3\n# h\n1\n4\n",
+        "3\r\n# h\r\n1\r\n4",
     ], ids=["bare", "comment-blank", "crlf", "padded", "indented-comment",
-            "whitespace-line"])
-    def test_layouts_read_alike(self, tmp_path, text):
+            "whitespace-line", "no-final-newline", "comment-inside",
+            "crlf-no-final-newline"])
+    def test_layouts_read_alike(self, tmp_path, monkeypatch, text):
         path = tmp_path / "c.txt"
         path.write_bytes(text.encode())
         assert read_counts(path).counts.tolist() == [1, 3, 4]
+        # in blocks of 2 characters, lines and CRLF endings straddle blocks
+        monkeypatch.setattr(dataset, "_BLOCK", 2)
+        assert read_counts(path).counts.tolist() == [1, 3, 4]
+
+    def test_bad_line_past_the_first_block_is_named(self, tmp_path):
+        path = tmp_path / "c.txt"
+        good = "1234\n" * 300_000
+        assert len(good) > dataset._BLOCK
+        path.write_text(f"{good}oops\n-5\n{good}", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match="^c.txt:300001: not a base-10 integer: 'oops'$"):
+            read_counts(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -59,13 +59,23 @@ class TestParseExport:
         assert result.rejections == ((2, reason),)
 
     def test_duplicate_id_keeps_first(self):
-        lines = [EXPORT_HEADER,
-                 export_row("WOS:9", "A, B", citations=1),
-                 export_row("WOS:9", "C, D", citations=2)]
-        result = parse_export(lines)
-        assert len(result.records) == 1
-        assert result.records[0].citations == 1
-        assert result.rejections == ((3, "duplicate record id: WOS:9"),)
+        # ids are compared as their UTF-8 bytes, after stripping
+        for first, second, duplicate in [
+                ("WOS:9", "WOS:9", True),
+                ("WOS:9", " WOS:9 ", True),
+                ("WOS:\ud800", "WOS:\ud800", True),
+                ("WOS:\u00e99", "WOS:\u00e89", False)]:
+            lines = [EXPORT_HEADER,
+                     export_row(first, "A, B", citations=1),
+                     export_row(second, "C, D", citations=2)]
+            result = parse_export(lines)
+            if duplicate:
+                assert [rec.citations for rec in result.records] == [1]
+                assert result.rejections == (
+                    (3, f"duplicate record id: {first}"),)
+            else:
+                assert [rec.citations for rec in result.records] == [1, 2]
+                assert result.rejections == ()
 
     def test_blank_lines_skipped_in_numbering(self):
         lines = [EXPORT_HEADER, "", export_row("WOS:1", "A"),
@@ -77,6 +87,17 @@ class TestParseExport:
     def test_missing_column_rejected(self):
         with pytest.raises(ValueError, match="missing required column: TC"):
             parse_export(["AU\tSO\tDT\tPY\tUT"])
+
+    @pytest.mark.parametrize("last", ["TC", " TC "])
+    def test_column_read_twice_rejected(self, last):
+        with pytest.raises(ValueError, match="^duplicate column: TC$"):
+            parse_export([f"PT\tAU\tSO\tDT\tTC\tPY\tUT\t{last}",
+                          "J\tA; B\tJ1\tArticle\t5\t2001\tW1\t99"])
+
+    def test_unread_column_may_repeat(self):
+        result = parse_export(["PT\tAU\tSO\tDT\tTC\tPY\tUT\tPT",
+                               "J\tA; B\tJ1\tArticle\t5\t2001\tW1\tJ"])
+        assert [rec.citations for rec in result.records] == [5]
 
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError, match="empty file"):
@@ -264,10 +285,11 @@ class TestModeSamples:
         assert samples["single"].counts.tolist() == [0, 3]
 
     def test_absent_class_omitted(self):
-        records = (BiblioRecord("r", ("A", "B"), "J", "Article", 4, 2000),)
+        records = (BiblioRecord("r", ("A", "B"), "J", "Article", 4, 2000),
+                   BiblioRecord("s", ("A", "C"), "J", "Article", 4, 2000))
         samples = mode_samples(records)
         assert "single" not in samples
-        assert samples["overall"].counts.tolist() == [4]
+        assert samples["overall"].counts.tolist() == [4, 4]
 
 
 class TestFilterYears:
