@@ -38,7 +38,7 @@ __all__ = [
 # every count is below 2**63, so that it has an int64 slot
 _COUNT_LIMIT = 1 << 63
 # characters read_counts reads at a time
-_BLOCK = 1 << 20
+_BLOCK = 1 << 18
 
 AGGREGATE_COLUMNS = (
     "subfield",

@@ -33,11 +33,16 @@ __all__ = [
     "DEFAULT_BOOTSTRAP_REPS",
 ]
 
-# Euler-Maclaurin evaluation of the Hurwitz zeta: a direct sum of the first
-# _EM_TERMS terms when q < _EM_TERMS, then integral + trapezoid + Bernoulli
-# corrections B2..B12 from a = max(q, _EM_TERMS) on.  The first omitted
-# correction is below 1e-14 of the result for s in (1, 30] since a >= 64.
+# Euler-Maclaurin evaluation of the Hurwitz zeta: for integer q < _EM_TERMS
+# a direct sum of k**-s over q <= k < _EM_TERMS, added from the top, then
+# integral + trapezoid + Bernoulli corrections B2..B12 from a = max(q,
+# _EM_TERMS) on.  Since a >= 64, the result and both derivatives are within
+# 1e-13 relative of mpmath's for s in (1, 30].  The direct sum is the last
+# column of a running sum over _K, so _ks reads every q < _EM_TERMS of one s
+# off one such row.
 _EM_TERMS = 64
+_K = np.arange(_EM_TERMS - 1, 0, -1, dtype=np.float64)
+_NEG_LOG_K = -np.log(_K)
 _EM_COEF = (
     1.0 / 6.0 / 2.0,
     -1.0 / 30.0 / 24.0,
@@ -51,7 +56,8 @@ _ZETA_CHUNK = 1 << 11
 
 def _zeta(s, q, derivs: bool = False) -> np.ndarray:
     """Hurwitz zeta over broadcast ``s`` and ``q``: shape ``(1,) + shape``,
-    or ``(3,) + shape`` with the first two s-derivatives (``derivs``).
+    or ``(3,) + shape`` with the first two s-derivatives (``derivs``).  A q
+    below _EM_TERMS must be a positive integer.
 
     Elements go in chunks of _ZETA_CHUNK, each through the same operations
     whatever its neighbors, so no value depends on the call it is in.
@@ -71,15 +77,16 @@ def _zeta_chunk(s: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
     derivs = out.shape[0] > 1
     near = q < _EM_TERMS
     if near.any():
-        base = q[near, None] + np.arange(_EM_TERMS)
-        term = base ** -s[near, None]
-        out[0, near] = np.sum(term, axis=1)
+        term = _K ** -s[near, None]
+        term[_K < q[near, None]] = 0.0
+        out[0, near] = np.cumsum(term, axis=1)[:, -1]
         if derivs:
-            # each s-derivative multiplies x**-s by -log(x)
-            neg_log = -np.log(base)
-            out[1, near] = np.sum(term * neg_log, axis=1)
-            out[2, near] = np.sum(term * neg_log * neg_log, axis=1)
-    a = np.where(near, q + _EM_TERMS, q)
+            # each s-derivative multiplies k**-s by -log(k)
+            term *= _NEG_LOG_K
+            out[1, near] = np.sum(term, axis=1)
+            term *= _NEG_LOG_K
+            out[2, near] = np.sum(term, axis=1)
+    a = np.maximum(q, _EM_TERMS)
     # where a**(1-s) underflows the rest adds exactly 0; a tame s there
     # keeps the Horner factors below, which overflow for huge s, finite
     e1 = a ** (1.0 - s)
@@ -161,27 +168,31 @@ class DiscretePowerLaw:
         return float(_zeta(self.alpha, self.x_min)[0])
 
     def pmf(self, x) -> np.ndarray:
-        """P(X = x); 0 below x_min."""
+        """P(X = x); 0 below x_min and off the integers."""
         x = np.asarray(x, dtype=np.float64)
         # clipping keeps 0 ** -alpha and negative bases out of the power
         inside = np.maximum(x, self.x_min) ** -self.alpha / self.normalizer
-        return np.where(x >= self.x_min, inside, 0.0)
+        return np.where(self._support(x), inside, 0.0)
 
     def logpmf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         inside = (-self.alpha * np.log(np.maximum(x, self.x_min))
                   - np.log(self.normalizer))
-        return np.where(x >= self.x_min, inside, -np.inf)
+        return np.where(self._support(x), inside, -np.inf)
+
+    def _support(self, x: np.ndarray) -> np.ndarray:
+        return (x >= self.x_min) & (np.floor(x) == x)
 
     def ccdf(self, x) -> np.ndarray:
-        """P(X >= x) for integer x; 1 at and below x_min."""
-        x = np.asarray(x, dtype=np.float64)
+        """P(X >= x); 1 at and below x_min."""
+        # _zeta takes integer q below 64, and X >= x means X >= ceil(x)
+        x = np.ceil(np.asarray(x, dtype=np.float64))
         tail = _zeta(self.alpha, np.maximum(x, self.x_min))[0]
         return tail / self.normalizer
 
     def cdf(self, x) -> np.ndarray:
-        """P(X <= x) for integer x; 0 below x_min."""
-        return 1.0 - self.ccdf(np.asarray(x, dtype=np.float64) + 1.0)
+        """P(X <= x); 0 below x_min."""
+        return 1.0 - self.ccdf(np.floor(np.asarray(x, dtype=np.float64)) + 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,7 +262,7 @@ def _distinct(counts: np.ndarray, least: int) -> tuple[np.ndarray, np.ndarray]:
 
 _ALPHA_LO, _ALPHA_HI = 1.0 + 1e-9, 512.0
 _NEWTON_CAP = 100
-_KS_PAIRS = 1 << 14
+_KS_PAIRS = 1 << 12
 # A tail's KS bound looks at its first _PROBE values and at _PROBE quantiles
 # of its observations.  One solve holds at most about _SPAN_VALUES unique
 # values, and a span has at least _SPAN_MIN replicates.  CHANGES.md gives
@@ -310,19 +321,25 @@ def _ks(index: _TailIndex, starts: np.ndarray, alpha: np.ndarray,
     _PROBE evenly spaced quantiles of its observations count.  A pair's
     distance has the same bits either way, so that is a lower bound on the
     KS, and the KS itself for tails of up to 2 _PROBE values.  The kernel
-    takes (candidate, value) pairs in groups of max(_KS_PAIRS, one tail's).
+    takes the (candidate, value) pairs in groups of _KS_PAIRS, a long tail
+    over several groups.  The model CDF at a value below _EM_TERMS - 1 is
+    read off its candidate's running sum of k**-alpha, which has the bits of
+    _zeta's.
     """
     length = index.end[starts] - starts
     sizes = np.minimum(length, 2 * _PROBE) if probe else length
     ends = np.cumsum(sizes)
     heads = ends - sizes
-    ks = np.empty(starts.size)
-    lo = 0
-    while lo < starts.size:
-        hi = max(lo + 1, int(np.searchsorted(ends, heads[lo] + _KS_PAIRS,
-                                             side="right")))
-        c = np.repeat(np.arange(lo, hi), sizes[lo:hi])
-        k = np.arange(heads[lo], ends[hi - 1]) - heads[c]
+    ks = np.full(starts.size, -np.inf)
+    total = int(sizes.sum())
+    for lo in range(0, total, _KS_PAIRS):
+        hi = min(lo + _KS_PAIRS, total)
+        # the candidates holding pairs lo .. hi - 1, and how many each
+        cand = np.arange(np.searchsorted(ends, lo, side="right"),
+                         np.searchsorted(ends, hi, side="left") + 1)
+        held = np.minimum(ends[cand], hi) - np.maximum(heads[cand], lo)
+        c = np.repeat(cand, held)
+        k = np.arange(lo, hi) - heads[c]
         s = starts[c]
         j = s + k
         if probe:
@@ -332,11 +349,28 @@ def _ks(index: _TailIndex, starts: np.ndarray, alpha: np.ndarray,
             target = (index.rank[s[far]] + index.suffix_n[s[far]] * i[far]
                       // (_PROBE + 1))
             j[far] = np.searchsorted(index.rank, target, side="right") - 1
+        q = index.values[j] + 1.0
+        near = q < _EM_TERMS
+        # a table row for each candidate with near pairs, and one kernel
+        # call for the far pairs and each row's zeta(alpha, _EM_TERMS)
+        has = np.zeros(cand.size, dtype=bool)
+        has[c[near] - cand[0]] = True
+        rows = cand[has]
+        n_far = q.size - np.count_nonzero(near)
+        kernel = _zeta(np.concatenate([alpha[c[~near]], alpha[rows]]),
+                       np.concatenate([q[~near],
+                                       np.full(rows.size, _EM_TERMS)]))[0]
+        zeta = np.empty(q.size)
+        zeta[~near] = kernel[:n_far]
+        if rows.size:
+            r = (np.cumsum(has) - 1)[c[near] - cand[0]]
+            table = np.cumsum(_K ** -alpha[rows, None], axis=1)
+            col = (_EM_TERMS - 1) - q[near].astype(np.intp)
+            zeta[near] = table[r, col] + kernel[n_far:][r]
         n = index.suffix_n[s]
-        model = 1.0 - _zeta(alpha[c], index.values[j] + 1.0)[0] / z_q[c]
-        dist = np.abs((n - index.above[j]) / n - model)
-        ks[lo:hi] = np.maximum.reduceat(dist, heads[lo:hi] - heads[lo])
-        lo = hi
+        dist = np.abs((n - index.above[j]) / n - (1.0 - zeta / z_q[c]))
+        part = np.maximum.reduceat(dist, np.cumsum(held) - held)
+        ks[cand] = np.maximum(ks[cand], part)
     return ks
 
 

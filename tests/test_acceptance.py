@@ -249,3 +249,21 @@ def test_c11_artifacts_byte_identical_across_thread_counts(tmp_path):
         for name, blob in blobs[1].items():
             assert blobs[threads][name] == blob, \
                 f"{name} differs between --threads 1 and --threads {threads}"
+
+
+def test_c12_bootstrap_sd_calibrated_on_null_data():
+    # 100 null samples, each with x_min scanned and 100 bootstrap
+    # replicates: the median alpha_sd must estimate the SD of alpha-hat
+    # across the samples.  That SD, over 100 samples, has a relative
+    # sampling error of about 1 / sqrt(2 * 99) = 7.1%, so the ratio may miss
+    # 1 by three times that, 0.213.
+    t0 = time.perf_counter()
+    fits = [fit_power_law(sample_power_law(DiscretePowerLaw(1, 2.5), 2000,
+                                           seed=s),
+                          bootstrap_reps=100, seed=s)
+            for s in range(7000, 7100)]
+    spread = float(np.std([fit.alpha for fit in fits], ddof=1))
+    ratio = float(np.median([fit.alpha_sd for fit in fits])) / spread
+    tol = 3.0 / math.sqrt(2 * 99)
+    assert abs(ratio - 1.0) <= tol, f"median alpha_sd / SD(alpha) = {ratio}"
+    assert time.perf_counter() - t0 < 120.0
