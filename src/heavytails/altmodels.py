@@ -455,7 +455,7 @@ def fit_alternative(sample: CitationSample, x_min: int, family: str) -> AltFit:
     """MLE of a discretized alternative on the tail x >= x_min."""
     _check_families((family,))
     x_min = _lower_bound(x_min)
-    values, counts = np.array(_distinct(sample.counts, x_min), dtype=np.float64)
+    values, counts = np.array(_distinct(sample, x_min), dtype=np.float64)
     return _fit(family, values, counts, x_min)
 
 
@@ -497,7 +497,7 @@ def compare_models(sample: CitationSample, pl: PowerLawFit,
     named twice raises ValueError before any fit.
     """
     _check_families(alternatives)
-    values, counts = np.array(_distinct(sample.counts, pl.x_min),
+    values, counts = np.array(_distinct(sample, pl.x_min),
                               dtype=np.float64)
     pl_logpmf = pl.model().logpmf(values)
     results = []

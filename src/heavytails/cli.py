@@ -314,12 +314,14 @@ def _cmd_simulate(args) -> None:
     header = [f"heavytails {__version__}", f"command: {command}",
               f"seed: {args.seed}"]
     args.output.parent.mkdir(parents=True, exist_ok=True)
-    write_counts(args.output, sample.counts, header)
+    write_counts(args.output, dict(zip(sample.values.tolist(),
+                                       sample.multiplicities.tolist())),
+                 header)
 
 
 def _cmd_ingest(args) -> None:
     from .dataset import write_aggregates, write_counts
-    from .ingest import KeptRows, export_rows, in_window, read_classification
+    from .ingest import Tally, export_rows, in_window, read_classification
 
     if (args.year_min is not None and args.year_max is not None
             and args.year_min > args.year_max):
@@ -330,7 +332,15 @@ def _cmd_ingest(args) -> None:
     columns = {field: column for field, flag in _COLUMN_FLAGS.items()
                if (column := getattr(args, f"col_{flag}")) is not None}
     window = args.year_min is not None or args.year_max is not None
-    kept, rejections, outside = KeptRows(), [], 0
+    # rows are tallied as they pass, so the map is read first; its error
+    # waits for the export's own errors and the window note
+    try:
+        with open(args.map, "r", encoding="utf-8-sig", newline=None) as fh:
+            tally = Tally(read_classification(fh))
+        add, map_error = tally.add, None
+    except (ValueError, OSError) as exc:
+        add, map_error = (lambda *row: True), exc
+    rejections, outside = [], 0
     with open(args.input, "r", encoding="utf-8-sig", newline=None) as fh:
         # row: record_id, authors, journal, doc_type, citations, year
         for lineno, row, reason in export_rows(fh, columns):
@@ -339,16 +349,15 @@ def _cmd_ingest(args) -> None:
             elif window and not in_window(row[5], args.year_min,
                                           args.year_max):
                 outside += 1
-            else:
-                kept.add(lineno, row[1], row[2], row[4])
+            elif not add(row[1], row[2], row[4]):
+                rejections.append((lineno, f"unmapped journal: {row[2]}"))
     if window:
         print(f"ingest: {outside} records outside the year window",
               file=sys.stderr)
-    with open(args.map, "r", encoding="utf-8-sig", newline=None) as fh:
-        classification = read_classification(fh)
+    if map_error is not None:
+        raise map_error
     # counts files cover the same corpus as the aggregates: mapped journals
-    aggregates, unmapped, modes = kept.tally(classification)
-    rejections = sorted(rejections + unmapped)
+    aggregates, modes = tally.result()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     write_aggregates(args.outdir / "aggregates.tsv", aggregates)

@@ -9,12 +9,13 @@ reading aggregates and writing counts load none.
 
 from __future__ import annotations
 
+import copy
+import operator
 import re
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import astuple, dataclass, fields
-from itertools import groupby
-from operator import countOf
+from itertools import chain, groupby, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -38,7 +39,7 @@ __all__ = [
 # every count is below 2**63, so that it has an int64 slot
 _COUNT_LIMIT = 1 << 63
 # characters read_counts reads at a time
-_BLOCK = 1 << 18
+_BLOCK = 1 << 14
 
 AGGREGATE_COLUMNS = (
     "subfield",
@@ -53,54 +54,67 @@ AGGREGATE_COLUMNS = (
 
 
 class CitationSample:
-    """Immutable, ascending-sorted collection of nonnegative citation counts.
+    """Immutable multiset of nonnegative citation counts, held as its
+    value–count digest: the distinct values, ascending, and how many
+    papers have each.
 
-    Counts of zero are kept: they never enter a power-law tail but they do
-    contribute to corpus shares and medians.
+    Built from the counts themselves, in any order, with one
+    ``np.unique``, or from a value -> count Mapping, the form
+    :func:`write_counts` also takes.  Counts of zero are kept: they never
+    enter a power-law tail but they do contribute to corpus shares and
+    medians.  A value that is no integer in [0, 2**63), a multiplicity
+    that is not positive, or more than 2**63 - 1 counts in all, raise
+    ValueError.
     """
 
-    __slots__ = ("_label", "_counts")
+    __slots__ = ("_label", "_values", "_mult", "_n")
 
-    def __init__(self, counts: Iterable[int], label: str = ""):
+    def __init__(self, counts: Iterable[int] | Mapping[int, int],
+                 label: str = ""):
         import numpy as np
 
-        if isinstance(counts, np.ndarray):
-            arr = counts
+        if isinstance(counts, Mapping):
+            items = _digest_items(counts)
+            if not items:
+                raise ValueError("empty dataset")
+            values, mult = (np.array(column, dtype=np.int64)
+                            for column in zip(*items))
         else:
-            # a buffer (array.array, bytes) is read in place, not as a list
-            try:
-                arr = np.asarray(memoryview(counts))
-            except TypeError:
-                arr = np.asarray(list(counts))
-        if arr.size == 0:
-            raise ValueError("empty dataset")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(np.equal(np.mod(arr, 1), 0)):
-                raise ValueError("citation counts must be integers")
-        if arr.min() < 0:
-            raise ValueError("citation counts must be nonnegative")
-        if arr.max() >= _COUNT_LIMIT:
-            raise ValueError("citation count out of range")
-        arr = arr.astype(np.int64)  # a copy, so the caller's buffer stays apart
-        arr.sort()
-        arr.setflags(write=False)
+            values, mult = np.unique(_counts_array(counts),
+                                     return_counts=True)
+        values.setflags(write=False)
+        mult.setflags(write=False)
         self._label = str(label)
-        self._counts = arr
+        self._values = values
+        self._mult = mult
+        self._n = int(mult.sum())
 
     @property
     def label(self) -> str:
         return self._label
 
     @property
+    def values(self) -> np.ndarray:
+        """The distinct counts, ascending (read-only int64)."""
+        return self._values
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """How many papers have each of :attr:`values` (read-only int64)."""
+        return self._mult
+
+    @property
     def counts(self) -> np.ndarray:
-        """Sorted, read-only view of the counts."""
-        return self._counts
+        """Every count, ascending: the digest expanded to a new read-only
+        array of len(self) entries."""
+        return _expand(self._values, self._mult)
 
     def __len__(self) -> int:
-        return int(self._counts.size)
+        return self._n
 
     def __iter__(self):
-        return iter(self._counts.tolist())
+        return chain.from_iterable(map(repeat, self._values.tolist(),
+                                       self._mult.tolist()))
 
     def __repr__(self) -> str:
         return f"CitationSample(label={self._label!r}, n={len(self)})"
@@ -108,17 +122,100 @@ class CitationSample:
     @property
     def n_citations(self) -> int:
         # exact: each count is below 2**63, but their sum need not be
-        return sum(self._counts.tolist())
+        return sum(map(operator.mul, self._values.tolist(),
+                       self._mult.tolist()))
 
     def tail(self, x_min: int) -> np.ndarray:
-        """Counts at or above ``x_min`` (read-only)."""
-        return self._counts[self._counts >= x_min]
+        """Counts at or above ``x_min``, ascending (read-only)."""
+        keep = self._values >= x_min
+        return _expand(self._values[keep], self._mult[keep])
 
     def relabel(self, label: str) -> "CitationSample":
-        out = CitationSample.__new__(CitationSample)
+        out = copy.copy(self)
         out._label = str(label)
-        out._counts = self._counts
         return out
+
+
+def _expand(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    out = np.repeat(values, mult)
+    out.setflags(write=False)
+    return out
+
+
+def _whole(value) -> int | None:
+    """``value`` as an int if it is a whole number, else None; a bool is
+    not one."""
+    if isinstance(value, bool):
+        return None
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
+def _count(value) -> int:
+    """One citation count as an int; a ValueError says what is wrong."""
+    whole = _whole(value)
+    if whole is None:
+        raise ValueError("citation counts must be integers")
+    if whole < 0:
+        raise ValueError("citation counts must be nonnegative")
+    if whole >= _COUNT_LIMIT:
+        raise ValueError("citation count out of range")
+    return whole
+
+
+def _digest_items(digest: Mapping) -> list[tuple[int, int]]:
+    """A value -> count digest's (value, count) pairs, ascending by value:
+    every value a citation count, every count a positive integer, and the
+    counts below 2**63 in all."""
+    items = []
+    for value, n in digest.items():
+        whole = _whole(n)
+        if whole is None or whole < 1:
+            raise ValueError(f"multiplicity of {value!r} must be a positive "
+                             f"integer, got {n!r}")
+        items.append((_count(value), whole))
+    items.sort()
+    if sum(n for _, n in items) >= _COUNT_LIMIT:
+        raise ValueError("2**63 or more citation counts")
+    return items
+
+
+def _counts_array(counts: Iterable[int]) -> np.ndarray:
+    """The counts as a one-dimensional int64 array, each one checked."""
+    import numpy as np
+
+    if isinstance(counts, np.ndarray):
+        arr = counts
+    else:
+        # a buffer (array.array, bytes) is read in place, not as a list
+        try:
+            arr = np.asarray(memoryview(counts))
+        except TypeError:
+            arr = np.asarray(list(counts))
+    if arr.ndim != 1:
+        raise ValueError("citation counts must be a one-dimensional "
+                         f"sequence, got {arr.ndim} dimensions")
+    if arr.size == 0:
+        raise ValueError("empty dataset")
+    kind = arr.dtype.kind
+    if kind == "O":
+        # Python ints past int64, and whatever else a list mixes
+        return np.array([_count(value) for value in arr.tolist()],
+                        dtype=np.int64)
+    if kind not in "iuf":
+        raise ValueError("citation counts must be integers")
+    if kind == "f" and not np.all(np.equal(np.mod(arr, 1), 0)):
+        raise ValueError("citation counts must be integers")
+    if arr.min() < 0:
+        raise ValueError("citation counts must be nonnegative")
+    if arr.max() >= _COUNT_LIMIT:
+        raise ValueError("citation count out of range")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,15 +278,20 @@ def summarize(sample: CitationSample,
     tc = cites if total_citations is None else int(total_citations)
     if tp < n or tc < cites:
         raise ValueError("corpus totals smaller than the sample itself")
-    # the central count of the sorted counts, or the two central ones added
-    # as Python ints: two int64 counts near 2**63 would overflow
-    mid = sample.counts[(n - 1) // 2:n // 2 + 1].tolist()
+    import numpy as np
+
+    # the two central order statistics, found in the cumulative
+    # multiplicities and added as Python ints: two int64 counts near 2**63
+    # would overflow
+    central = np.searchsorted(np.cumsum(sample.multiplicities),
+                              [(n - 1) // 2, n // 2], side="right")
+    low, high = sample.values[central].tolist()
     return SummaryStats(
         n_papers=n,
         n_citations=cites,
         share_papers=n / tp if tp else 0.0,
         share_citations=cites / tc if tc else 0.0,
-        median_citations=sum(mid) / len(mid),
+        median_citations=(low + high) / 2,
     )
 
 
@@ -225,10 +327,9 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
     endings are accepted.  A count is written in ASCII digits only and is
     below 2**63.  The file is read as a digest of its lines, each distinct
     line with its number of copies, so each distinct count is converted
-    once.
+    once, and the sample is built from that digest: no array of every
+    count is made.
     """
-    import numpy as np
-
     path = Path(path)
     lines: Counter[str] = Counter()
     with open(path, "r", encoding="utf-8", newline=None) as fh:
@@ -241,15 +342,14 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
     lines[rest] += 1
     data = [line for line in lines if line and line[0] != "#"]
     digits = "".join(data)
-    # the common file, bare digits between comments, converts in one go;
-    # anything else takes the line parser, which words the error
-    values = None
+    # the common file, bare digits between comments, converts line by line;
+    # anything else takes the line parser, which words the error.  Lines
+    # such as "5" and "05" hold one value: their copies add up.
+    digest: Counter[int] = Counter()
     if data and digits.isascii() and digits.isdigit():
-        try:
-            values = np.array(data, dtype=np.int64)
-        except OverflowError:
-            pass
-    if values is None:
+        for line in data:
+            digest[int(line)] += lines[line]
+    if not digest or max(digest) >= _COUNT_LIMIT:
         try:
             parsed = [_count_line(line) for line in lines]
         except ValueError:
@@ -261,13 +361,11 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
                     except ValueError as exc:
                         raise ValueError(f"{path.name}:{lineno}: {exc}") from None
             raise
-        data = [line for line, value in zip(lines, parsed) if value is not None]
-        values = np.array([value for value in parsed if value is not None],
-                          dtype=np.int64)
-    values = np.repeat(values, [lines[line] for line in data])
-    if not values.size:
-        raise ValueError("empty dataset")
-    return CitationSample(values, label=label if label is not None else path.stem)
+        digest.clear()
+        for line, value in zip(lines, parsed):
+            if value is not None:
+                digest[value] += lines[line]
+    return CitationSample(digest, label if label is not None else path.stem)
 
 
 def _count_line(raw: str) -> int | None:
@@ -292,18 +390,22 @@ def write_counts(path: str | Path, counts: Iterable[int] | Mapping[int, int],
     """Write counts one per line; header lines are emitted as ``#`` comments,
     one per piece of a header line that holds line breaks.  ``counts`` is
     either the counts, written in their order, or a value -> count digest,
-    written in ascending value order."""
+    written in ascending value order.  A count that is no integer in
+    [0, 2**63), or a multiplicity that is not positive, raises ValueError
+    before the file is opened."""
     if isinstance(counts, Mapping):
-        runs = sorted(counts.items())
+        runs = _digest_items(counts)
     else:
         if hasattr(counts, "tolist"):  # an ndarray or array
             counts = counts.tolist()  # Python ints format faster
-        # a sample's counts are sorted: each run of equal values is one string
-        runs = ((value, countOf(run, value)) for value, run in groupby(counts))
+        # a sample's counts are sorted: each run of equal values is one
+        # string, and its first value is checked
+        runs = [(_count(value), operator.countOf(run, value))
+                for value, run in groupby(counts)]
     # read_counts breaks lines at \r, \n and \r\n
     lines = [f"# {piece}\n" for line in header
              for piece in re.split(r"\r\n?|\n", line)]
-    lines += [f"{int(value)}\n" * n for value, n in runs]
+    lines += [f"{value}\n" * n for value, n in runs]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(lines))
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._constants import DEFAULT_SIMS
 from ._rng import DOMAIN_GOF, derived_rng
 from .dataset import CitationSample
-from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _distinct, _replicates,
+from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _replicates,
                        _tail_draws, ks_distance)
 
 __all__ = ["GofResult", "required_sims", "gof_test", "RULE_OUT_THRESHOLD",
@@ -58,9 +58,10 @@ def _synthetic(body: np.ndarray, x_min: int, alpha: float, n: int,
     resampled uniformly from ``body``, the values below x_min."""
     rng = derived_rng(seed, DOMAIN_GOF, r)
     n_tail = int(rng.binomial(n, 1.0 - body.size / n))
-    return _distinct(np.concatenate([
+    return np.unique(np.concatenate([
         _tail_draws(alpha, x_min, n_tail, rng),
-        body[rng.integers(0, body.size, size=n - n_tail)]]), 0)
+        body[rng.integers(0, body.size, size=n - n_tail)]]),
+        return_counts=True)
 
 
 def gof_test(sample: CitationSample, fit: PowerLawFit,
@@ -82,10 +83,11 @@ def gof_test(sample: CitationSample, fit: PowerLawFit,
     if not abs(recomputed - fit.ks) <= 1e-12:
         raise ValueError("stale fit")
 
-    counts = sample.counts
-    body = counts[counts < fit.x_min]
+    # the values below x_min, expanded once: every simulation resamples it
+    start = np.searchsorted(sample.values, fit.x_min)
+    body = np.repeat(sample.values[:start], sample.multiplicities[:start])
     fits = _replicates(partial(_synthetic, body, fit.x_min, fit.alpha,
-                               counts.size, seed),
+                               len(sample), seed),
                        n_sims, workers, min_tail, None)
     # a synthetic draw without an admissible tail is scored as exceeding
     ks_values = np.array([np.inf if f is None else f.ks for f in fits])

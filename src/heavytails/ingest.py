@@ -3,13 +3,13 @@
 Reads the export convention of citation databases: one header row naming
 columns, one record per row, UTF-8.  Records keep their source line
 numbers so that every dropped row lands in a rejection report with a
-reason; nothing is discarded silently.
+reason; nothing is discarded silently.  Kept rows are added up as they
+pass, into sums and value -> count digests: nothing is held per row.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,7 +32,7 @@ __all__ = [
     "mode_samples",
     "filter_years",
     "in_window",
-    "KeptRows",
+    "Tally",
 ]
 
 DOC_TYPES = frozenset({"Article", "Review", "Letter", "Note",
@@ -256,24 +256,22 @@ def build_aggregates(records: Sequence[BiblioRecord],
     if len(rows) != len(records):
         raise ValueError(f"{len(rows)} source rows for {len(records)} "
                          "records")
-    kept = KeptRows()
-    for i, rec in enumerate(records):
-        kept.add(i, rec.authors, rec.journal, rec.citations)
-    aggregates, rejections, _ = kept.tally(classification)
-    return aggregates, [(rows[i], reason) for i, reason in rejections]
+    tally = Tally(classification)
+    rejections = [(row, f"unmapped journal: {rec.journal}")
+                  for rec, row in zip(records, rows)
+                  if not tally.add(rec.authors, rec.journal, rec.citations)]
+    return tally.result()[0], rejections
 
 
 def mode_samples(records: Sequence[BiblioRecord]) -> dict[str, CitationSample]:
-    """Citation-count samples for overall/collaboration/single partitions."""
-    import numpy as np
-
-    kept = KeptRows()
+    """Citation-count samples for overall/collaboration/single partitions,
+    each built from the value -> count digest its records are counted
+    into; an empty partition is left out."""
+    collab, single = Counter(), Counter()
     for rec in records:
-        kept.add(0, rec.authors, rec.journal, rec.citations)
-    return {mode: CitationSample(np.repeat(np.array(list(digest), np.int64),
-                                           list(digest.values())),
-                                 label=mode)
-            for mode, digest in _modes(kept.groups.values()).items()}
+        (collab if _collaborative(rec.authors) else single)[rec.citations] += 1
+    return {mode: CitationSample(digest, label=mode)
+            for mode, digest in _modes(collab, single).items()}
 
 
 def filter_years(records: Sequence[BiblioRecord],
@@ -289,64 +287,59 @@ def in_window(year: int, year_min: int | None, year_max: int | None) -> bool:
             and (year_max is None or year <= year_max))
 
 
-class KeptRows:
-    """Kept rows grouped by raw journal string, not one object per row:
-    each journal's source lines, and its collaborative and single-authored
-    citations, in three columns."""
+class Tally:
+    """Kept rows added up as they pass, with nothing kept per row: the
+    papers and citations of each subfield, split by collaboration, and the
+    citations of each collaboration class as a value -> count digest.
+    Each raw journal string is looked up in the classification once."""
 
-    def __init__(self) -> None:
-        self.groups: dict[str, tuple[array, array, array]] = defaultdict(
-            lambda: (array("q"), array("q"), array("q")))
-
-    def add(self, row: int, authors: Sequence[str], journal: str,
-            citations: int) -> None:
-        rows, collab, single = self.groups[journal]
-        rows.append(row)
-        (collab if _collaborative(authors) else single).append(citations)
-
-    def tally(self, classification: Mapping[str, tuple[str, str]],
-              ) -> tuple[list[SubfieldAggregate], list[tuple[int, str]],
-                         dict[str, Counter]]:
-        """Per-subfield sums, split by collaboration, looking each journal
-        up once.  Returns the aggregates sorted by subfield, the unmapped
-        rows' rejections sorted by row, and the mapped rows' citations per
-        mode as value -> count digests, as :func:`_modes` gives them."""
+    def __init__(self, classification: Mapping[str, tuple[str, str]]):
         if not classification:
             raise ValueError("empty classification map")
-        # subfield -> [field, papers_collab, papers_single, citations_collab,
-        # citations_single]
-        sums: dict[str, list] = {}
-        rejections: list[tuple[int, str]] = []
-        mapped = []
-        for journal, group in self.groups.items():
-            rows, collab, single = group
-            target = classification.get(normalize_journal(journal))
-            if target is None:
-                rejections += zip(rows, [f"unmapped journal: {journal}"]
-                                  * len(rows))
-                continue
-            mapped.append(group)
-            entry = sums.setdefault(target[1], [target[0], 0, 0, 0, 0])
-            entry[1] += len(collab)
-            entry[2] += len(single)
-            # Python-int sums: exact past 2**63
-            entry[3] += sum(collab)
-            entry[4] += sum(single)
-        rejections.sort()
-        return ([SubfieldAggregate(sub, field, pc + ps, pc, ps, cc + cs,
-                                   cc, cs)
-                 for sub, (field, pc, ps, cc, cs) in sorted(sums.items())],
-                rejections, _modes(mapped))
+        self._classification = classification
+        # subfield -> [field, papers_collab, papers_single,
+        # citations_collab, citations_single]
+        self._sums: dict[str, list] = {}
+        # raw journal -> its subfield's sums, None when unmapped
+        self._sums_of: dict[str, list | None] = {}
+        # plain dicts: a Counter's item updates take a slower path
+        self._collab: dict[int, int] = {}
+        self._single: dict[int, int] = {}
+
+    def add(self, authors: Sequence[str], journal: str,
+            citations: int) -> bool:
+        """Add one row; False, adding nothing, when its journal is not in
+        the classification."""
+        collaborative = _collaborative(authors)
+        try:
+            sums = self._sums_of[journal]
+        except KeyError:
+            target = self._classification.get(normalize_journal(journal))
+            sums = self._sums_of[journal] = (
+                None if target is None else
+                self._sums.setdefault(target[1], [target[0], 0, 0, 0, 0]))
+        if sums is None:
+            return False
+        # Python-int sums: exact past 2**63
+        i = 1 if collaborative else 2
+        sums[i] += 1
+        sums[i + 2] += citations
+        digest = self._collab if collaborative else self._single
+        digest[citations] = digest.get(citations, 0) + 1
+        return True
+
+    def result(self) -> tuple[list[SubfieldAggregate], dict[str, Counter]]:
+        """The aggregates sorted by subfield, and the added rows' citations
+        per mode as value -> count digests."""
+        sums = sorted(self._sums.items())
+        return ([SubfieldAggregate(sub, field, pc + ps, pc, ps, cc + cs, cc, cs)
+                 for sub, (field, pc, ps, cc, cs) in sums],
+                _modes(Counter(self._collab), Counter(self._single)))
 
 
-def _modes(groups: Iterable[tuple[array, array, array]],
-           ) -> dict[str, Counter]:
-    """Value -> count digests of the groups' overall, collaboration and
-    single citations; an empty mode is left out."""
-    collab, single = Counter(), Counter()
-    for _, group_collab, group_single in groups:
-        collab.update(group_collab)
-        single.update(group_single)
+def _modes(collab: Counter, single: Counter) -> dict[str, Counter]:
+    """The overall, collaboration and single digests of a split; an empty
+    mode is left out."""
     parts = {"overall": collab + single, "collaboration": collab,
              "single": single}
     return {mode: digest for mode, digest in parts.items() if digest}

@@ -250,14 +250,15 @@ class _TailIndex:
         return out
 
 
-def _distinct(counts: np.ndarray, least: int) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(sample: CitationSample,
+              least: int) -> tuple[np.ndarray, np.ndarray]:
     """The digest of a sample's values at or above ``least``: its distinct
-    values, ascending, and their multiplicities.  Raises ValueError when
-    there is none."""
-    values, mult = np.unique(counts[counts >= least], return_counts=True)
-    if values.size == 0:
+    values, ascending, and their multiplicities, as read-only slices of the
+    sample's own.  Raises ValueError when there is none."""
+    start = np.searchsorted(sample.values, least)
+    if start == sample.values.size:
         raise ValueError("empty tail")
-    return values, mult
+    return sample.values[start:], sample.multiplicities[start:]
 
 
 _ALPHA_LO, _ALPHA_HI = 1.0 + 1e-9, 512.0
@@ -488,13 +489,13 @@ def fit_alpha(sample: CitationSample, x_min: int) -> tuple[float, float]:
     Returns ``(alpha, log_likelihood)``.  alpha is the root of the
     likelihood score, found by safeguarded Newton to within rounding.
     """
-    res = _fit(*_distinct(sample.counts, x_min), DEFAULT_MIN_TAIL, x_min)
+    res = _fit(*_distinct(sample, x_min), DEFAULT_MIN_TAIL, x_min)
     return res.alpha, res.log_likelihood
 
 
 def ks_distance(sample: CitationSample, model: DiscretePowerLaw) -> float:
     """Max |empirical tail CDF - model CDF| over observed tail values."""
-    ks = _ks(_TailIndex(*_distinct(sample.counts, model.x_min)),
+    ks = _ks(_TailIndex(*_distinct(sample, model.x_min)),
              np.zeros(1, dtype=np.intp),
              np.array([model.alpha]), _zeta(model.alpha, model.x_min))
     return float(ks[0])
@@ -550,13 +551,12 @@ def fit_power_law(sample: CitationSample, *,
     and the SDs stay 0.0 unless at least two replicates have one.  The
     result is identical for any ``workers`` count.
     """
-    counts = sample.counts
     # a pinned x_min takes its tail's digest, which is empty past the data
-    main = _fit(*_distinct(counts, x_min or 0), min_tail, x_min)
+    main = _fit(*_distinct(sample, x_min or 0), min_tail, x_min)
 
     if bootstrap_reps > 0:
-        values, mult = _distinct(counts, 0)
-        n = counts.size
+        values, mult = sample.values, sample.multiplicities
+        n = len(sample)
         fits = _replicates(partial(_resample, values, mult / n, n, seed),
                            bootstrap_reps, workers, min_tail, x_min)
         # a replicate without a usable tail carries no estimate
@@ -639,7 +639,7 @@ def sample_power_law(model: DiscretePowerLaw, n: int, seed: int) -> CitationSamp
 
 def ccdf_table(sample: CitationSample, model: DiscretePowerLaw) -> list[tuple[int, float, float]]:
     """Rows (x, empirical CCDF, model CCDF) over the observed tail support."""
-    index = _TailIndex(*_distinct(sample.counts, model.x_min))
+    index = _TailIndex(*_distinct(sample, model.x_min))
     emp = index.suffix_n / index.suffix_n[0]
     mod = model.ccdf(index.values)
     return [(int(x), float(e), float(m))

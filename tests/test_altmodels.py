@@ -252,7 +252,7 @@ class TestDerivatives:
     ])
     def test_lognormal(self, name, q, point, request):
         values, counts = np.array(
-            _distinct(request.getfixturevalue(name).counts, q), dtype=float)
+            _distinct(request.getfixturevalue(name), q), dtype=float)
         # the fit's box is mu0 - 200 <= mu <= mu0 + 50, mu0 the mean log x
         mu0 = float(np.sum(counts * np.log(values)) / counts.sum())
         mu = {"top": mu0 + 49.5, "bottom": mu0 - 199.5}.get(point[0], point[0])
@@ -274,7 +274,7 @@ class TestDerivatives:
     ])
     def test_cutoff(self, name, q, point, request):
         values, counts = np.array(
-            _distinct(request.getfixturevalue(name).counts, q), dtype=float)
+            _distinct(request.getfixturevalue(name), q), dtype=float)
         ll, score, hess = _cutoff_model(values, counts, q)(np.array(point))
         g, h = _mp_score_and_hessian(_mp_cutoff_ll(values, counts, q), point)
         assert_allclose(score, g, rtol=1e-8)
@@ -309,7 +309,7 @@ class TestOptimum:
     def test_score_vanishes_off_the_box_edges(self, name, request):
         sample = request.getfixturevalue(name)
         x_min = _DESCENT_LL[name][0]
-        values, counts = np.array(_distinct(sample.counts, x_min),
+        values, counts = np.array(_distinct(sample, x_min),
                                   dtype=float)
         n = counts.sum()
         mu0 = float(np.sum(counts * np.log(values)) / n)

@@ -782,6 +782,36 @@ class TestIngestSinglePass:
             "error: classification header must be journal,field,subfield\n")
         assert not (tmp_path / "out").exists()
 
+    def test_missing_map_is_reported_after_the_window_note(
+            self, tmp_path, capsys, export_lines):
+        export = tmp_path / "export.tsv"
+        export.write_text("".join(export_lines))
+        missing = tmp_path / "missing.csv"
+        assert run("ingest", "--input", export, "--map", missing,
+                   "--outdir", tmp_path / "out", "--year-min", 2000) == 1
+        assert capsys.readouterr().err == (
+            "ingest: 1 records outside the year window\n"
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unmapped_journal_outside_the_window_is_only_outside(
+            self, tmp_path, capsys, map_file):
+        export = tmp_path / "export.tsv"
+        export.write_text("\n".join([
+            EXPORT_HEADER,
+            export_row("W1", "A, A", "Physics World", year=2005),
+            export_row("W2", "B, B", "Unlisted Bulletin", year=1990),
+            export_row("W3", "C, C", "Unlisted Bulletin", year=2006)]) + "\n")
+        out = tmp_path / "out"
+        assert run("ingest", "--input", export, "--map", map_file,
+                   "--outdir", out, "--year-min", 2000) == 0
+        assert capsys.readouterr().err == (
+            "ingest: 1 records outside the year window\n")
+        assert (out / "rejections.tsv").read_text() == (
+            "row\treason\n4\tunmapped journal: Unlisted Bulletin\n")
+        doc = json.loads((out / "ingest.json").read_text())
+        assert (doc["n_records"], doc["n_rejections"]) == (1, 1)
+
     def test_builds_no_record(self, tmp_path, map_file, monkeypatch):
         import heavytails.ingest
 

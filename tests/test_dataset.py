@@ -2,6 +2,7 @@
 
 import statistics
 from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -79,6 +80,51 @@ class TestCitationSample:
         big = CitationSample([2 ** 62, 2 ** 62, 3], label="big")
         assert big.n_citations == 2 ** 63 + 3
         assert summarize(big).n_citations == 2 ** 63 + 3
+
+    def test_digest_form(self):
+        s = CitationSample({3: 2, 1: 1, 0: 4}, label="d")
+        assert s.values.tolist() == [0, 1, 3]
+        assert s.multiplicities.tolist() == [4, 1, 2]
+        assert s.counts.tolist() == [0, 0, 0, 0, 1, 3, 3]
+        assert len(s) == 7
+        assert s.n_citations == 7
+        assert list(s) == [0, 0, 0, 0, 1, 3, 3]
+        assert summarize(s).median_citations == 0.0
+        for arr in (s.values, s.multiplicities, s.counts, s.tail(1)):
+            assert arr.dtype == np.int64
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("counts, message", [
+        ([[4, 3], [2, 1]], "one-dimensional"),
+        (np.array(5), "one-dimensional"),
+        ([True, False], "^citation counts must be integers$"),
+        (["1", "2"], "^citation counts must be integers$"),
+        ([1, "2"], "^citation counts must be integers$"),
+        ([1, 2.5 + 1j], "^citation counts must be integers$"),
+        ([float("nan"), 1.0], "^citation counts must be integers$"),
+        ({1.5: 2}, "^citation counts must be integers$"),
+        ({True: 2}, "^citation counts must be integers$"),
+        ({-3: 1}, "^citation counts must be nonnegative$"),
+        ({2 ** 63: 1}, "^citation count out of range$"),
+        ({5: -1, 7: 2}, "multiplicity of 5 must be a positive integer"),
+        ({6: 0}, "multiplicity of 6 must be a positive integer"),
+        ({6: 1.5}, "multiplicity of 6 must be a positive integer"),
+        ({6: True}, "multiplicity of 6 must be a positive integer"),
+        ({1: 2 ** 62, 2: 2 ** 62}, "2\\*\\*63 or more citation counts"),
+        ({}, "^empty dataset$"),
+    ], ids=["2-d", "0-d", "bool", "str", "mixed-str", "complex", "nan",
+            "digest-fraction", "digest-bool", "digest-negative",
+            "digest-2**63", "digest-negative-multiplicity",
+            "digest-zero-multiplicity", "digest-fractional-multiplicity",
+            "digest-bool-multiplicity", "digest-total-2**63", "digest-empty"])
+    def test_rejects_what_it_cannot_hold(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            CitationSample(counts)
+
+    def test_digest_total_just_below_2_63(self):
+        s = CitationSample({1: 2 ** 62, 2: 2 ** 62 - 1})
+        assert len(s) == 2 ** 63 - 1
+        assert s.n_citations == 2 ** 62 + 2 * (2 ** 62 - 1)
 
 
 class TestSummarize:
@@ -171,6 +217,35 @@ class TestCountsIO:
         for counts in (np.array([3, 3, 0, 12, 12, 12]), [3, 3, 0, 12, 12, 12]):
             write_counts(path, counts, header=("h",))
             assert path.read_bytes() == b"# h\n3\n3\n0\n12\n12\n12\n"
+
+    def test_digest_written_ascending(self, tmp_path):
+        path = tmp_path / "c.txt"
+        for digest in ({12: 3, 0: 1, 3: 2},
+                       Counter([3, 3, 0, 12, 12, 12]),
+                       {np.int64(3): np.int64(2), 12.0: 3, 0: 1}):
+            write_counts(path, digest, header=("h",))
+            assert path.read_bytes() == b"# h\n0\n3\n3\n12\n12\n12\n"
+
+    @pytest.mark.parametrize("counts, message", [
+        ([5.5, 7], "^citation counts must be integers$"),
+        ([7, True], "^citation counts must be integers$"),
+        (np.array([5.5, 7]), "^citation counts must be integers$"),
+        ([3, -1], "^citation counts must be nonnegative$"),
+        ([2 ** 63], "^citation count out of range$"),
+        ({5: -1, 6: 0, 7: 2}, "multiplicity of 5 must be a positive"),
+        ({6: 0, 7: 2}, "multiplicity of 6 must be a positive"),
+        ({-3: 1}, "^citation counts must be nonnegative$"),
+        ({"4": 1}, "^citation counts must be integers$"),
+    ], ids=["fraction", "bool", "ndarray-fraction", "negative", "2**63",
+            "negative-multiplicity", "zero-multiplicity", "digest-negative",
+            "digest-str"])
+    def test_write_rejects_what_read_cannot_give_back(self, tmp_path, counts,
+                                                      message):
+        path = tmp_path / "c.txt"
+        with pytest.raises(ValueError, match=message):
+            write_counts(path, counts, header=("h",))
+        # nothing is written, not even the header
+        assert not path.exists()
 
     # bare digits take the one-go conversion, the rest the line parser
     @pytest.mark.parametrize("text", [

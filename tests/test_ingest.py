@@ -1,5 +1,8 @@
 """Tests for export parsing, journal classification, and aggregation."""
 
+import tracemalloc
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -313,3 +316,57 @@ class TestFilterYears:
         kept = filter_years(records, year_min=lo, year_max=hi)
         assert all(lo <= r.year <= hi for r in kept)
         assert len(kept) == sum(1 for y in years if lo <= y <= hi)
+
+
+class _Rows(Sequence):
+    """200,000 records cycled from a pool of 199, so that reading them
+    allocates nothing."""
+
+    POOL = [BiblioRecord(f"W{k}", ("A", "B")[:1 + k % 2],
+                         ("Physics World", "Botany Letters",
+                          "Acta Mathematica")[k % 3], "Article", k, 2000)
+            for k in range(199)]
+
+    def __len__(self):
+        return 200_000
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self.POOL[i % len(self.POOL)]
+
+
+class TestTallyMemory:
+    # a tally holds per-subfield sums and one digest per collaboration
+    # class; keeping three int64 entries per row until the end peaks at
+    # 3.3 MB in build_aggregates and 7.3 MB in mode_samples
+    BOUND = 1 << 18
+
+    def _peak(self, call, *args):
+        import numpy  # noqa: F401  (mode_samples' samples load it)
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_aggregates(self):
+        mapping = {"physics world": ("natural", "physics"),
+                   "botany letters": ("natural", "botany"),
+                   "acta mathematica": ("formal", "mathematics")}
+        rows = _Rows()
+        (aggregates, rejections), peak = self._peak(
+            build_aggregates, rows, mapping, range(2, len(rows) + 2))
+        assert peak < self.BOUND, f"peak {peak / 1e6:.2f} MB"
+        assert rejections == []
+        assert sum(a.papers_total for a in aggregates) == len(rows)
+        assert sum(a.citations_total for a in aggregates) == sum(
+            rec.citations for rec in rows)
+
+    def test_mode_samples(self):
+        rows = _Rows()
+        samples, peak = self._peak(mode_samples, rows)
+        assert peak < self.BOUND, f"peak {peak / 1e6:.2f} MB"
+        assert len(samples["overall"]) == len(rows)
+        assert samples["overall"].values.tolist() == list(range(199))

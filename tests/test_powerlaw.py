@@ -251,7 +251,7 @@ class TestKsDistance:
 
 def _scan_candidates(sample):
     """Tail index, candidate positions and x_min values of the scan."""
-    index = _TailIndex(*_distinct(sample.counts, 1))
+    index = _TailIndex(*_distinct(sample, 1))
     m = index.values.size
     starts = np.nonzero((index.suffix_n >= 50) & (np.arange(m) <= m - 2))[0]
     return index, starts, index.values[starts]
@@ -370,7 +370,7 @@ class TestPrunedScan:
 
     def test_probe_bounds_the_ks_in_a_joined_index(self):
         indexes = [_TailIndex(*_distinct(sample_power_law(
-            DiscretePowerLaw(x_min, alpha), n, seed=3).counts, 1))
+            DiscretePowerLaw(x_min, alpha), n, seed=3), 1))
             for x_min, alpha, n in SHAPES.values()]
         alone = []
         for index in indexes:
@@ -404,7 +404,7 @@ class TestPrunedScan:
         sample = sample_power_law(DiscretePowerLaw(x_min, alpha), n, seed=17)
         fit = fit_power_law(sample, bootstrap_reps=20, seed=5)
         assert replace(fit, alpha_sd=0.0, x_min_sd=0.0) == _exhaustive_fit(
-            _distinct(sample.counts, 0))
+            _distinct(sample, 0))
         gof_test(sample, fit, n_sims=20, seed=6)
         assert [len(s) for s, _, _ in span_solves] == [20, 20]
         for samples, min_tail, fits in span_solves:
@@ -427,7 +427,7 @@ class TestPrunedScan:
         real = powerlaw_module._ks
         monkeypatch.setattr(powerlaw_module, "_ks",
                             lambda *a, **k: np.round(real(*a, **k), 2))
-        positive = _distinct(pl_tail_sample.counts, 0)
+        positive = _distinct(pl_tail_sample, 0)
         index, starts, q = _scan_candidates(pl_tail_sample)
         alpha, _, z = _mle(index.suffix_logsum[starts],
                            index.suffix_n[starts], q)
@@ -441,11 +441,11 @@ class TestPrunedScan:
         assert fits == [_exhaustive_fit(s, min_tail) for s in samples]
 
     def test_two_value_tails_and_min_tail_edge(self, pl_tail_sample):
-        positive = _distinct(pl_tail_sample.counts, 0)
+        positive = _distinct(pl_tail_sample, 0)
         best = _exhaustive_fit(positive)
-        samples = [_distinct(np.array([3] * 30 + [4] * 20), 0), positive,
-                   _distinct(np.array([7, 7, 9]), 0),
-                   _distinct(np.array([5] * 9), 0)]
+        samples = [_distinct(CitationSample([3] * 30 + [4] * 20), 0), positive,
+                   _distinct(CitationSample([7, 7, 9]), 0),
+                   _distinct(CitationSample([5] * 9), 0)]
         second = []
         for min_tail in (2, best.n_tail, best.n_tail + 1):
             fits = powerlaw_module._fit_each(samples.__getitem__,
@@ -462,7 +462,7 @@ class TestPrunedScan:
         counts = heavy_sample.counts
         fit = fit_power_law(heavy_sample, bootstrap_reps=0)
         body = counts[counts < fit.x_min]
-        values, mult = _distinct(counts, 0)
+        values, mult = _distinct(heavy_sample, 0)
         n = counts.size
         for draw, x_min in (
                 (partial(_synthetic, body, fit.x_min, fit.alpha, n, 3), None),
@@ -566,13 +566,14 @@ class TestDigest:
     @example(counts=[1 << 62, 0, 1 << 62, 3], least=4)
     @settings(max_examples=300, deadline=None)
     def test_index_from_the_digest(self, counts, least):
+        sample = CitationSample(counts)
         counts = np.array(counts, dtype=np.int64)
         tail = np.sort(counts[counts >= least])
         if tail.size == 0:
             with pytest.raises(ValueError, match="empty tail"):
-                _distinct(counts, least)
+                _distinct(sample, least)
         else:
-            _assert_expansion_index(_TailIndex(*_distinct(counts, least)),
+            _assert_expansion_index(_TailIndex(*_distinct(sample, least)),
                                     tail)
 
     @given(counts=_COUNT_LISTS,
@@ -582,7 +583,7 @@ class TestDigest:
     @example(counts=[0, 2, 9], x_min=3, undrawn=[False, False, True])
     @settings(max_examples=300, deadline=None)
     def test_candidates_filter_the_digest(self, counts, x_min, undrawn):
-        values, mult = _distinct(np.array(counts, dtype=np.int64), 0)
+        values, mult = _distinct(CitationSample(counts), 0)
         # a value a replicate did not draw keeps multiplicity 0
         gone = (undrawn + [False] * values.size)[:values.size]
         mult = np.where(gone, 0, mult)
@@ -717,7 +718,7 @@ class TestReplicates:
                                         bootstrap_reps=2 * SPAN, seed=4,
                                         workers=w) for w in (1, 2))
         assert pooled == serial
-        values, mult = _distinct(counts, 0)
+        values, mult = _distinct(sample, 0)
         draw = partial(_resample, values, mult / counts.size, counts.size, 4)
         serial, pooled = (np.array([
             (np.nan, np.nan) if fit is None else (fit.alpha, float(fit.x_min))
