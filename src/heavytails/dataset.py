@@ -324,15 +324,15 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
     """Read the one-count-per-line plain-text format.
 
     Blank lines and lines starting with ``#`` are ignored; both LF and CRLF
-    endings are accepted.  A count is written in ASCII digits only and is
-    below 2**63.  The file is read as a digest of its lines, each distinct
-    line with its number of copies, so each distinct count is converted
-    once, and the sample is built from that digest: no array of every
-    count is made.
+    endings are accepted, and so is a leading UTF-8 byte order mark.  A
+    count is written in ASCII digits only and is below 2**63.  The file is
+    read as a digest of its lines, each distinct line with its number of
+    copies, so each distinct line is parsed once, and the sample is built
+    from that digest: no array of every count is made.
     """
     path = Path(path)
     lines: Counter[str] = Counter()
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
+    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         rest = ""
         while block := fh.read(_BLOCK):
             whole = (rest + block).split("\n")
@@ -340,31 +340,22 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
             rest = whole.pop()
             lines.update(whole)
     lines[rest] += 1
-    data = [line for line in lines if line and line[0] != "#"]
-    digits = "".join(data)
-    # the common file, bare digits between comments, converts line by line;
-    # anything else takes the line parser, which words the error.  Lines
-    # such as "5" and "05" hold one value: their copies add up.
+    # lines such as "5" and "05" hold one value: their copies add up
     digest: Counter[int] = Counter()
-    if data and digits.isascii() and digits.isdigit():
-        for line in data:
-            digest[int(line)] += lines[line]
-    if not digest or max(digest) >= _COUNT_LIMIT:
-        try:
-            parsed = [_count_line(line) for line in lines]
-        except ValueError:
-            # name the first bad line, by its number
-            with open(path, "r", encoding="utf-8", newline=None) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    try:
-                        _count_line(line)
-                    except ValueError as exc:
-                        raise ValueError(f"{path.name}:{lineno}: {exc}") from None
-            raise
-        digest.clear()
-        for line, value in zip(lines, parsed):
+    try:
+        for line, copies in lines.items():
+            value = _count_line(line)
             if value is not None:
-                digest[value] += lines[line]
+                digest[value] += copies
+    except ValueError:
+        # name the first bad line, by its number
+        with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    _count_line(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path.name}:{lineno}: {exc}") from None
+        raise
     return CitationSample(digest, label if label is not None else path.stem)
 
 

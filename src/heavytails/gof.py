@@ -1,11 +1,11 @@
 """Monte Carlo goodness-of-fit test for a fitted power-law tail.
 
-Each synthetic dataset keeps the empirical sample size: observations fall
-in the tail with probability n_tail/n and are then drawn from the fitted
-model, otherwise they are resampled uniformly from the empirical values
-below x_min.  Every synthetic dataset is refit from scratch, including its
-own x_min scan, and the p-value is the fraction of synthetic KS distances
-at least as large as the empirical one.
+Each synthetic dataset keeps the empirical sample size n: one multinomial
+draw of n resamples the empirical values below x_min, each with its share
+of the sample, and gives the tail its share n_tail/n, whose observations
+are drawn from the fitted model.  Every synthetic dataset is refit from
+scratch, including its own x_min scan, and the p-value is the fraction of
+synthetic KS distances at least as large as the empirical one.
 """
 
 from __future__ import annotations
@@ -51,17 +51,18 @@ def required_sims(epsilon: float) -> int:
     return max(1, math.ceil(1.0 / (4.0 * epsilon * epsilon)))
 
 
-def _synthetic(body: np.ndarray, x_min: int, alpha: float, n: int,
-               seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digest of synthetic sample r: n observations, each drawn from the
-    fitted power law with probability 1 - body.size / n and otherwise
-    resampled uniformly from ``body``, the values below x_min."""
+def _synthetic(body: np.ndarray, p: np.ndarray, x_min: int, alpha: float,
+               n: int, seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digest of synthetic sample r: one multinomial draw of n over the
+    values ``body`` below x_min and the tail, with shares ``p``, then the
+    tail's model draws.  A body value that is not drawn keeps count 0."""
     rng = derived_rng(seed, DOMAIN_GOF, r)
-    n_tail = int(rng.binomial(n, 1.0 - body.size / n))
-    return np.unique(np.concatenate([
-        _tail_draws(alpha, x_min, n_tail, rng),
-        body[rng.integers(0, body.size, size=n - n_tail)]]),
-        return_counts=True)
+    mult = rng.multinomial(n, p)
+    tail, tail_mult = np.unique(_tail_draws(alpha, x_min, int(mult[-1]), rng),
+                                return_counts=True)
+    # every body value lies below x_min and every tail value at or above it
+    return (np.concatenate([body, tail]),
+            np.concatenate([mult[:-1], tail_mult]))
 
 
 def gof_test(sample: CitationSample, fit: PowerLawFit,
@@ -83,11 +84,13 @@ def gof_test(sample: CitationSample, fit: PowerLawFit,
     if not abs(recomputed - fit.ks) <= 1e-12:
         raise ValueError("stale fit")
 
-    # the values below x_min, expanded once: every simulation resamples it
+    # the shares of the distinct values below x_min, then the tail's
     start = np.searchsorted(sample.values, fit.x_min)
-    body = np.repeat(sample.values[:start], sample.multiplicities[:start])
-    fits = _replicates(partial(_synthetic, body, fit.x_min, fit.alpha,
-                               len(sample), seed),
+    n = len(sample)
+    body_mult = sample.multiplicities[:start]
+    p = np.append(body_mult, n - body_mult.sum()) / n
+    fits = _replicates(partial(_synthetic, sample.values[:start], p,
+                               fit.x_min, fit.alpha, n, seed),
                        n_sims, workers, min_tail, None)
     # a synthetic draw without an admissible tail is scored as exceeding
     ks_values = np.array([np.inf if f is None else f.ks for f in fits])

@@ -267,3 +267,26 @@ def test_c12_bootstrap_sd_calibrated_on_null_data():
     tol = 3.0 / math.sqrt(2 * 99)
     assert abs(ratio - 1.0) <= tol, f"median alpha_sd / SD(alpha) = {ratio}"
     assert time.perf_counter() - t0 < 120.0
+
+
+def test_c13_comparison_size_on_null_data():
+    # 200 power-law samples, each with x_min scanned: the lognormal
+    # comparison's p <= 0.10 must occur at about its nominal 10% rate,
+    # within 3 binomial SDs, sqrt(0.1 * 0.9 / 200) = 0.0212 each, so in
+    # [0.036, 0.164].  The cutoff's chi-square(1) p is conservative on the
+    # boundary rate = 0 of the nested family, so its share has only the
+    # upper bound 0.164.
+    t0 = time.perf_counter()
+    lognormal, cutoff = [], []
+    for s in range(5000, 5200):
+        sample = sample_power_law(DiscretePowerLaw(1, 2.5), 2000, seed=s)
+        fit = fit_power_law(sample, bootstrap_reps=0)
+        ln, pc = compare_models(sample, fit,
+                                alternatives=("lognormal", "powerlaw_cutoff"))
+        lognormal.append(ln.p)
+        cutoff.append(pc.p)
+    share_ln = float(np.mean(np.array(lognormal) <= 0.10))
+    share_pc = float(np.mean(np.array(cutoff) <= 0.10))
+    assert 0.036 <= share_ln <= 0.164, f"lognormal p <= 0.10 share {share_ln}"
+    assert share_pc <= 0.164, f"cutoff p <= 0.10 share {share_pc}"
+    assert time.perf_counter() - t0 < 120.0

@@ -247,7 +247,6 @@ class TestCountsIO:
         # nothing is written, not even the header
         assert not path.exists()
 
-    # bare digits take the one-go conversion, the rest the line parser
     @pytest.mark.parametrize("text", [
         "3\n1\n4\n", "# h\n3\n\n1\n4", "3\r\n1\r\n4\r\n", " 3\n1 \n\t4\n",
         "  # h\n3\n1\n4\n", "3\n   \n1\n4\n", "3\n1\n4", "3\n# h\n1\n4\n",
@@ -262,6 +261,21 @@ class TestCountsIO:
         # in blocks of 2 characters, lines and CRLF endings straddle blocks
         monkeypatch.setattr(dataset, "_BLOCK", 2)
         assert read_counts(path).counts.tolist() == [1, 3, 4]
+
+    @pytest.mark.parametrize("text", ["3\n1\n4\n", "# h\n3\n1\n4\n"],
+                             ids=["count-first", "comment-first"])
+    def test_byte_order_mark_ignored(self, tmp_path, monkeypatch, text):
+        # as ingest reads an export: a UTF-8 BOM before the first line
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_counts(path).counts.tolist() == [1, 3, 4]
+        monkeypatch.setattr(dataset, "_BLOCK", 2)
+        assert read_counts(path).counts.tolist() == [1, 3, 4]
+        # a bad line is still named by its number
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"x\n")
+        with pytest.raises(ValueError,
+                           match="^bom.txt:[45]: not a base-10 integer: 'x'$"):
+            read_counts(path)
 
     def test_bad_line_past_the_first_block_is_named(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -289,10 +303,7 @@ class TestCountsIO:
                               ("\u0663", "not a base-10 integer"),
                               ("\uff15", "not a base-10 integer"),
                               ("-3", "negative count -3"),
-                              # the one-go conversion overflows; the line
-                              # parser words it
                               ("99999999999999999999", "count out of range"),
-                              # padded, so only the line parser reads it
                               ("  9223372036854775808", "count out of range")]:
             path.write_text(f"3\n{text}\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"^c.txt:2: {message}"):

@@ -146,3 +146,17 @@ class TestMemory:
         fit, peak = _traced_peak(read_and_fit)
         assert fit.n_tail > 1_000
         assert peak < 1 << 20, f"peak {peak / 1e6:.2f} MB"
+
+    def test_gof_holds_no_array_of_every_count(self):
+        # the same 200,000 counts in 200 values: a GoF simulation draws its
+        # body as one multinomial over the values below x_min, so neither
+        # the test nor a simulation holds an array of n values (5.15 MB
+        # peak when the body was expanded and resampled by index)
+        rng = np.random.default_rng(3)
+        x = np.minimum(np.floor(rng.pareto(1.5, 200_000) * 3), 199)
+        sample = CitationSample(Counter(x.astype(np.int64).tolist()))
+        fit = fit_power_law(sample, bootstrap_reps=0)
+        assert fit.x_min > 1 and fit.n_tail < len(sample) // 2
+        result, peak = _traced_peak(gof_test, sample, fit, 4, 1)
+        assert result.n_sims == 4
+        assert peak < 2 << 20, f"peak {peak / 1e6:.2f} MB"

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heavytails import (DiscretePowerLaw, fit_power_law, gof_test,
-                        required_sims, sample_power_law)
-from heavytails.gof import RULE_OUT_THRESHOLD, GofResult
+from heavytails import (CitationSample, DiscretePowerLaw, fit_power_law,
+                        gof_test, required_sims, sample_power_law)
+from heavytails.gof import RULE_OUT_THRESHOLD, GofResult, _synthetic
 
 
 class TestRequiredSims:
@@ -106,3 +106,31 @@ class TestGofTest:
         result = gof_test(s, fit, n_sims=100, seed=9)
         assert result.ruled_out
         assert result.p_value <= 0.05
+
+
+class TestSyntheticDraw:
+    def test_body_is_one_multinomial_over_its_values(self):
+        # a body of 10 distinct values below x_min 10, which the null
+        # samples of c05 (x_min 1 or 2) never give
+        rng = np.random.default_rng(5)
+        sample = CitationSample(np.floor(rng.pareto(1.5, 2000) * 3)
+                                .astype(np.int64))
+        fit = fit_power_law(sample, bootstrap_reps=0)
+        start = int(np.searchsorted(sample.values, fit.x_min))
+        assert start >= 5
+        n = len(sample)
+        body, body_mult = sample.values[:start], sample.multiplicities[:start]
+        p = np.append(body_mult, n - body_mult.sum()) / n
+        reps = 2000
+        drawn = np.empty((reps, start))
+        for r in range(reps):
+            values, mult = _synthetic(body, p, fit.x_min, fit.alpha, n, 9, r)
+            assert np.all(np.diff(values) > 0) and mult.sum() == n
+            np.testing.assert_array_equal(values[:start], body)
+            assert np.all(values[start:] >= fit.x_min)
+            drawn[r] = mult[:start]
+        # each body cell is binomial(n, p_i): its mean over the replicates
+        # lies within 4 standard errors of n p_i
+        expected = n * p[:-1]
+        se = np.sqrt(n * p[:-1] * (1.0 - p[:-1]) / reps)
+        assert np.all(np.abs(drawn.mean(axis=0) - expected) <= 4.0 * se)

@@ -459,19 +459,27 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_chunks_equal_for_any_span(self, heavy_sample, fixed):
-        counts = heavy_sample.counts
         fit = fit_power_law(heavy_sample, bootstrap_reps=0)
-        body = counts[counts < fit.x_min]
         values, mult = _distinct(heavy_sample, 0)
-        n = counts.size
+        n = len(heavy_sample)
         for draw, x_min in (
-                (partial(_synthetic, body, fit.x_min, fit.alpha, n, 3), None),
+                (_gof_draw(heavy_sample, fit, 3), None),
                 (partial(_resample, values, mult / n, n, 3),
                  fit.x_min if fixed else None)):
             whole = _replicates(draw, 12, 1, 50, x_min)
             alone = [x for r in range(12) for x in powerlaw_module._fit_each(
                 draw, range(r, r + 1), 50, x_min)]
             assert whole == alone
+
+
+def _gof_draw(sample, fit, seed):
+    """gof_test's draw of synthetic sample r, as it passes it on."""
+    start = np.searchsorted(sample.values, fit.x_min)
+    n = len(sample)
+    body_mult = sample.multiplicities[:start]
+    p = np.append(body_mult, n - body_mult.sum()) / n
+    return partial(_synthetic, sample.values[:start], p, fit.x_min, fit.alpha,
+                   n, seed)
 
 
 def _zeta_ks(index, starts, alpha, z_q):
@@ -699,8 +707,7 @@ class TestReplicates:
         counts = np.concatenate([heavy_sample.counts, np.zeros(500, int)])
         sample = CitationSample(counts, label="zeros")
         fit = fit_power_law(sample, min_tail=5_000, bootstrap_reps=0)
-        draw = partial(_synthetic, counts[counts < fit.x_min], fit.x_min,
-                       fit.alpha, counts.size, 4)
+        draw = _gof_draw(sample, fit, 4)
         assert None in _replicates(draw, 2 * SPAN, 1, 5_000, None)
         serial, pooled = (gof_test(sample, fit, n_sims=2 * SPAN, seed=4,
                                    workers=w, min_tail=5_000)
@@ -794,8 +801,10 @@ class TestSampling:
             1, 1.5039143792026504, 0.004734452028348879)
 
     def test_seeded_gof_pinned(self, heavy_sample):
+        # one multinomial over the body's distinct values and the tail per
+        # simulation
         fit = fit_power_law(heavy_sample, bootstrap_reps=0)
-        assert gof_test(heavy_sample, fit, n_sims=40, seed=7).n_exceeding == 37
+        assert gof_test(heavy_sample, fit, n_sims=40, seed=7).n_exceeding == 36
 
     def test_seeded_bootstrap_pinned(self, heavy_sample):
         # one multinomial over the distinct values per replicate
