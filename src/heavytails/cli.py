@@ -336,21 +336,20 @@ def _cmd_ingest(args) -> None:
     # waits for the export's own errors and the window note
     try:
         with open(args.map, "r", encoding="utf-8-sig", newline=None) as fh:
-            tally = Tally(read_classification(fh))
-        add, map_error = tally.add, None
+            classification, map_error = read_classification(fh), None
     except (ValueError, OSError) as exc:
-        add, map_error = (lambda *row: True), exc
-    rejections, outside = [], 0
+        classification, map_error = None, exc
+    tally, outside = Tally(classification), 0
     with open(args.input, "r", encoding="utf-8-sig", newline=None) as fh:
         # row: record_id, authors, journal, doc_type, citations, year
         for lineno, row, reason in export_rows(fh, columns):
             if row is None:
-                rejections.append((lineno, reason))
+                tally.rejections.append((lineno, reason))
             elif window and not in_window(row[5], args.year_min,
                                           args.year_max):
                 outside += 1
-            elif not add(row[1], row[2], row[4]):
-                rejections.append((lineno, f"unmapped journal: {row[2]}"))
+            else:
+                tally.add(lineno, row[1], row[2], row[4])
     if window:
         print(f"ingest: {outside} records outside the year window",
               file=sys.stderr)
@@ -361,8 +360,8 @@ def _cmd_ingest(args) -> None:
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     write_aggregates(args.outdir / "aggregates.tsv", aggregates)
-    _write_csv(args.outdir / "rejections.tsv", "row\treason", rejections,
-               sep="\t")
+    _write_csv(args.outdir / "rejections.tsv", "row\treason",
+               tally.rejections, sep="\t")
     command = _recorded(args, _RECORDED["ingest"])
     for mode, digest in modes.items():
         write_counts(args.outdir / f"counts_{mode}.txt", digest,
@@ -376,7 +375,7 @@ def _cmd_ingest(args) -> None:
         input_digest=documents.file_digest(args.input),
         map_digest=documents.file_digest(args.map),
         n_records=modes["overall"].total() if modes else 0,
-        n_rejections=len(rejections), n_subfields=len(aggregates),
+        n_rejections=len(tally.rejections), n_subfields=len(aggregates),
         mode_counts={mode: digest.total() for mode, digest in modes.items()})
     documents.write_document(doc, args.outdir / "ingest.json")
 

@@ -356,6 +356,8 @@ def read_counts(path: str | Path, label: str | None = None) -> CitationSample:
                 except ValueError as exc:
                     raise ValueError(f"{path.name}:{lineno}: {exc}") from None
         raise
+    if not digest:
+        raise ValueError(f"{path.name}: empty dataset")
     return CitationSample(digest, label if label is not None else path.stem)
 
 

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DOCUMENT_KINDS = ("fit", "gof", "compare", "scaling", "ingest")
+_DIGEST_BLOCK = 1 << 14  # file_digest's one read buffer, in bytes
 
 
 # hashlib is imported by the two digests, its only users: it loads OpenSSL,
@@ -47,13 +48,13 @@ def content_digest(data: bytes) -> str:
 
 
 def file_digest(path: str | Path) -> str:
-    """content_digest of the file's bytes, read in 1 MiB chunks."""
+    """content_digest of the file's bytes, read into one reused buffer."""
     import hashlib
 
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
+    digest, view = hashlib.sha256(), memoryview(bytearray(_DIGEST_BLOCK))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(view):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

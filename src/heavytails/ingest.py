@@ -249,29 +249,28 @@ def build_aggregates(records: Sequence[BiblioRecord],
     """Sum papers and citations per subfield, split by collaboration.
 
     Records whose journal is missing from the classification go to the
-    rejection list, in record order, with their source line number (0
-    when unknown).  Every mapped record lands in exactly one aggregate.
+    :class:`Tally`'s rejections, in record order, with their source line
+    number (0 when unknown).  Every mapped record lands in one aggregate.
     """
     rows = [0] * len(records) if source_rows is None else source_rows
     if len(rows) != len(records):
         raise ValueError(f"{len(rows)} source rows for {len(records)} "
                          "records")
     tally = Tally(classification)
-    rejections = [(row, f"unmapped journal: {rec.journal}")
-                  for rec, row in zip(records, rows)
-                  if not tally.add(rec.authors, rec.journal, rec.citations)]
-    return tally.result()[0], rejections
+    for rec, row in zip(records, rows):
+        tally.add(row, rec.authors, rec.journal, rec.citations)
+    return tally.result()[0], tally.rejections
 
 
 def mode_samples(records: Sequence[BiblioRecord]) -> dict[str, CitationSample]:
     """Citation-count samples for overall/collaboration/single partitions,
-    each built from the value -> count digest its records are counted
-    into; an empty partition is left out."""
-    collab, single = Counter(), Counter()
+    built from the digests of a :class:`Tally` with no classification, so
+    every record counts; an empty partition is left out."""
+    tally = Tally(None)
     for rec in records:
-        (collab if _collaborative(rec.authors) else single)[rec.citations] += 1
+        tally.add(0, rec.authors, rec.journal, rec.citations)
     return {mode: CitationSample(digest, label=mode)
-            for mode, digest in _modes(collab, single).items()}
+            for mode, digest in tally.result()[1].items()}
 
 
 def filter_years(records: Sequence[BiblioRecord],
@@ -291,12 +290,15 @@ class Tally:
     """Kept rows added up as they pass, with nothing kept per row: the
     papers and citations of each subfield, split by collaboration, and the
     citations of each collaboration class as a value -> count digest.
-    Each raw journal string is looked up in the classification once."""
+    Each raw journal string is looked up in the classification once; a row
+    whose journal it lacks goes to ``rejections``.  With no classification
+    (None) no subfield is summed and no row rejected."""
 
-    def __init__(self, classification: Mapping[str, tuple[str, str]]):
-        if not classification:
+    def __init__(self, classification: Mapping[str, tuple[str, str]] | None):
+        if classification is not None and not classification:
             raise ValueError("empty classification map")
         self._classification = classification
+        self.rejections: list[tuple[int, str]] = []
         # subfield -> [field, papers_collab, papers_single,
         # citations_collab, citations_single]
         self._sums: dict[str, list] = {}
@@ -306,40 +308,36 @@ class Tally:
         self._collab: dict[int, int] = {}
         self._single: dict[int, int] = {}
 
-    def add(self, authors: Sequence[str], journal: str,
-            citations: int) -> bool:
-        """Add one row; False, adding nothing, when its journal is not in
-        the classification."""
+    def add(self, lineno: int, authors: Sequence[str], journal: str,
+            citations: int) -> None:
+        """Add the row at line ``lineno``, or reject it when its journal is
+        not in the classification."""
         collaborative = _collaborative(authors)
-        try:
-            sums = self._sums_of[journal]
-        except KeyError:
-            target = self._classification.get(normalize_journal(journal))
-            sums = self._sums_of[journal] = (
-                None if target is None else
-                self._sums.setdefault(target[1], [target[0], 0, 0, 0, 0]))
-        if sums is None:
-            return False
-        # Python-int sums: exact past 2**63
-        i = 1 if collaborative else 2
-        sums[i] += 1
-        sums[i + 2] += citations
+        if self._classification is not None:
+            try:
+                sums = self._sums_of[journal]
+            except KeyError:
+                target = self._classification.get(normalize_journal(journal))
+                sums = self._sums_of[journal] = (
+                    None if target is None else
+                    self._sums.setdefault(target[1], [target[0], 0, 0, 0, 0]))
+            if sums is None:
+                self.rejections.append((lineno, f"unmapped journal: {journal}"))
+                return
+            # Python-int sums: exact past 2**63
+            i = 1 if collaborative else 2
+            sums[i] += 1
+            sums[i + 2] += citations
         digest = self._collab if collaborative else self._single
         digest[citations] = digest.get(citations, 0) + 1
-        return True
 
     def result(self) -> tuple[list[SubfieldAggregate], dict[str, Counter]]:
         """The aggregates sorted by subfield, and the added rows' citations
-        per mode as value -> count digests."""
+        per mode as value -> count digests; an empty mode is left out."""
         sums = sorted(self._sums.items())
+        collab, single = Counter(self._collab), Counter(self._single)
+        modes = {"overall": collab + single, "collaboration": collab,
+                 "single": single}
         return ([SubfieldAggregate(sub, field, pc + ps, pc, ps, cc + cs, cc, cs)
                  for sub, (field, pc, ps, cc, cs) in sums],
-                _modes(Counter(self._collab), Counter(self._single)))
-
-
-def _modes(collab: Counter, single: Counter) -> dict[str, Counter]:
-    """The overall, collaboration and single digests of a split; an empty
-    mode is left out."""
-    parts = {"overall": collab + single, "collaboration": collab,
-             "single": single}
-    return {mode: digest for mode, digest in parts.items() if digest}
+                {mode: digest for mode, digest in modes.items() if digest})

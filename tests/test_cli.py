@@ -320,6 +320,16 @@ class TestFit:
         # text mode reads a raw carriage return as a line end
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fit", "gof", "compare"])
+    def test_file_without_counts_is_named(self, tmp_path, capsys, command):
+        # every other read_counts error names the file too
+        path = tmp_path / "empty.txt"
+        path.write_text("# heavytails\n\n  \n# mode: overall\n")
+        out = tmp_path / "out"
+        assert run(command, "--input", path, "--outdir", out) == 1
+        assert capsys.readouterr().err == "error: empty.txt: empty dataset\n"
+        assert not out.exists()
+
     def test_missing_input_fails(self, tmp_path, capsys):
         code = run("fit", "--input", tmp_path / "absent.txt",
                    "--outdir", tmp_path)

@@ -9,9 +9,10 @@ import pytest
 
 from heavytails import __version__
 from heavytails.altmodels import ModelComparison
-from heavytails.documents import (DOCUMENT_KINDS, compare_document,
-                                  content_digest, file_digest, fit_document,
-                                  gof_document, ingest_document, render_json,
+from heavytails.documents import (_DIGEST_BLOCK, DOCUMENT_KINDS,
+                                  compare_document, content_digest,
+                                  file_digest, fit_document, gof_document,
+                                  ingest_document, render_json,
                                   scaling_document, validate_document,
                                   write_document)
 from heavytails.gof import GofResult
@@ -94,10 +95,15 @@ class TestDigests:
         p.write_bytes(b"abc")
         assert file_digest(p) == ABC_SHA
 
-    def test_file_digest_across_chunks(self, tmp_path):
-        # file_digest reads 1 MiB at a time; this file spans three reads
+    @pytest.mark.parametrize("size", [
+        0, 1, _DIGEST_BLOCK - 1, _DIGEST_BLOCK, _DIGEST_BLOCK + 1,
+        3 * _DIGEST_BLOCK + 7,
+    ], ids=["empty", "1", "B-1", "B", "B+1", "3B+7"])
+    def test_file_digest_across_chunks(self, tmp_path, size):
+        # file_digest reads into one buffer of B = _DIGEST_BLOCK bytes, so
+        # these sizes end just before, at and just after a read's end
         p = tmp_path / "big.bin"
-        p.write_bytes(bytes(range(256)) * (9 * 1024) + b"tail")
+        p.write_bytes((bytes(range(256)) * (size // 256 + 1))[:size])
         assert file_digest(p) == content_digest(p.read_bytes())
 
 

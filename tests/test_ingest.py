@@ -1,6 +1,7 @@
 """Tests for export parsing, journal classification, and aggregation."""
 
 import tracemalloc
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -12,7 +13,7 @@ from heavytails import (BiblioRecord, build_aggregates,
                         classify_collaboration, filter_years, mode_samples,
                         normalize_journal, parse_export, read_classification,
                         write_export)
-from heavytails.ingest import DEFAULT_COLUMNS, DOC_TYPES
+from heavytails.ingest import DEFAULT_COLUMNS, DOC_TYPES, Tally
 
 from conftest import EXPORT_HEADER, export_row
 
@@ -147,6 +148,13 @@ class TestCollaboration:
         rec = BiblioRecord("r", (), "J", "Article", 1, 2000)
         with pytest.raises(ValueError, match="anonymous"):
             classify_collaboration(rec)
+        # the tally behind mode_samples and build_aggregates applies the
+        # same rule, whatever the journal
+        for call in (lambda: mode_samples([rec]),
+                     lambda: build_aggregates([rec], {"j": ("f", "s")}),
+                     lambda: build_aggregates([rec], {"x": ("f", "s")})):
+            with pytest.raises(ValueError, match="^anonymous record$"):
+                call()
 
     @given(st.integers(min_value=1, max_value=60))
     def test_threshold_is_two(self, k):
@@ -258,6 +266,9 @@ class TestBuildAggregates:
         result = parse_export(export_lines)
         with pytest.raises(ValueError, match="empty classification map"):
             build_aggregates(result.records, {})
+        # an empty map is an error; no map (None) is a tally of classes
+        with pytest.raises(ValueError, match="empty classification map"):
+            Tally({})
 
     def test_one_source_row_per_record(self, export_lines,
                                        classification_lines):
@@ -276,6 +287,12 @@ class TestBuildAggregates:
         _, rejections = build_aggregates(records, mapping, source_rows)
         assert rejections == [(row, f"unmapped journal: {journal}")
                               for row, journal in zip(rows, "XYX")]
+        # an unmapped row adds nothing, to the sums or to the digests
+        tally = Tally(mapping)
+        for rec, row in zip(records, rows):
+            tally.add(row, rec.authors, rec.journal, rec.citations)
+        assert tally.rejections == rejections
+        assert tally.result() == ([], {})
 
 
 class TestModeSamples:
@@ -293,6 +310,21 @@ class TestModeSamples:
         samples = mode_samples(records)
         assert "single" not in samples
         assert samples["overall"].counts.tolist() == [4, 4]
+
+
+class TestTally:
+    def test_no_classification_keeps_every_row(self, export_lines):
+        # each row goes to its class digest; nothing is summed or rejected,
+        # whatever the journal
+        records = parse_export(export_lines).records
+        tally = Tally(None)
+        for k, rec in enumerate(records):
+            tally.add(k + 2, rec.authors, rec.journal, rec.citations)
+        aggregates, modes = tally.result()
+        assert (aggregates, tally.rejections) == ([], [])
+        assert modes == {"overall": Counter({0: 1, 3: 1, 12: 1, 30: 1}),
+                         "collaboration": Counter({12: 1, 30: 1}),
+                         "single": Counter({0: 1, 3: 1})}
 
 
 class TestFilterYears:
