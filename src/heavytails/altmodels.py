@@ -21,8 +21,8 @@ from ._constants import FAMILIES, FAMILY_PARAMS
 from ._rng import DOMAIN_SAMPLING, derived_rng
 from .dataset import CitationSample
 from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _distinct,
-                       _exponent, _lower_bound, _mle, _rejection, _tail_draws,
-                       _zeta, _zipf_proposals)
+                       _exponent, _lower_bound, _rejection, _tail_draws, _zeta,
+                       _zipf_proposals, fit_alpha)
 
 __all__ = [
     "FAMILIES",
@@ -397,18 +397,15 @@ def _cutoff_model(values, counts, q):
     return model
 
 
-def _fit_cutoff(values, counts, q, anchor=None):
+def _fit_cutoff(values, counts, q, anchor):
     """Cutoff MLE.  ``anchor`` is the (alpha, ll) of the nested pure power
-    law (fitted here if not given): the best point of the rate = 0 edge, so
-    an exact floor.  The log-likelihood is concave, so the anchor is the
+    law, as powerlaw fits it: the best point of the rate = 0 edge, so an
+    exact floor.  The log-likelihood is concave, so the anchor is the
     optimum unless its rate score n (E[x] - mean x) is positive (E[x] is
     infinite for alpha <= 2).  Then _newton starts above the anchor, at
     rate 1 / max x, halved as needed, and never needs the edge."""
     if values.size < 2:
         raise ValueError("degenerate tail")
-    if anchor is None:
-        alpha, ll, _ = _mle([np.sum(counts * np.log(values))], [counts.sum()], [q])
-        anchor = float(alpha[0]), float(ll[0])
     alpha_pl, ll_pl = anchor
     nested = AltFit("powerlaw_cutoff", (alpha_pl, 0.0), q, ll_pl)
     if alpha_pl > 2.0:
@@ -441,9 +438,9 @@ def _check_families(families: tuple[str, ...]) -> None:
             raise ValueError(f"unknown family: {family!r}")
 
 
-def _fit(family: str, values, counts, q: int, anchor=None) -> AltFit:
+def _fit(family: str, values, counts, q: int, anchor) -> AltFit:
     """MLE of one family, checked by the caller, on a tail's digest;
-    ``anchor`` serves the cutoff."""
+    ``anchor``, the nested power law's (alpha, ll), serves the cutoff."""
     if family == "lognormal":
         return _fit_lognormal(values, counts, q)
     if family == "exponential":
@@ -452,11 +449,13 @@ def _fit(family: str, values, counts, q: int, anchor=None) -> AltFit:
 
 
 def fit_alternative(sample: CitationSample, x_min: int, family: str) -> AltFit:
-    """MLE of a discretized alternative on the tail x >= x_min."""
+    """MLE of a discretized alternative on the tail x >= x_min; the cutoff
+    nests at ``fit_alpha(sample, x_min)``, bit for bit where its rate is 0."""
     _check_families((family,))
     x_min = _lower_bound(x_min)
     values, counts = np.array(_distinct(sample, x_min), dtype=np.float64)
-    return _fit(family, values, counts, x_min)
+    anchor = fit_alpha(sample, x_min) if family == "powerlaw_cutoff" else None
+    return _fit(family, values, counts, x_min, anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,8 @@ def _cmd_fit(args) -> None:
     if args.gof:
         print(f"gof: {args.sims} simulations", file=sys.stderr)
         result = gof_test(sample, fit, args.sims, args.seed,
-                          workers=args.threads, min_tail=args.min_tail)
+                          workers=args.threads, min_tail=args.min_tail,
+                          x_min=args.xmin)
         gdoc = documents.gof_document(result, fit, sample.label,
                                       command=command, seed=args.seed,
                                       input_digest=digest)

@@ -271,8 +271,6 @@ def summarize(sample: CitationSample,
     statistics.
     """
     n = len(sample)
-    if n == 0:
-        raise ValueError("empty dataset")
     cites = sample.n_citations
     tp = n if total_papers is None else int(total_papers)
     tc = cites if total_citations is None else int(total_citations)
@@ -367,10 +365,7 @@ def _count_line(raw: str) -> int | None:
     line = raw.strip()
     if not line or line.startswith("#"):
         return None
-    try:
-        value = _parse_int(line)
-    except ValueError:
-        raise ValueError(f"not a base-10 integer: {line!r}") from None
+    value = _parse_int(line)
     if value < 0:
         raise ValueError(f"negative count {value}")
     if value >= _COUNT_LIMIT:
@@ -404,9 +399,10 @@ def write_counts(path: str | Path, counts: Iterable[int] | Mapping[int, int],
 
 
 def read_aggregates(path: str | Path) -> list[SubfieldAggregate]:
-    """Read the tab-separated subfield aggregate table."""
+    """Read the tab-separated subfield aggregate table; a leading UTF-8 byte
+    order mark is accepted."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
+    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         lines = [(lineno, ln.rstrip("\n"))
                  for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:

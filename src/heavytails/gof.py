@@ -4,8 +4,9 @@ Each synthetic dataset keeps the empirical sample size n: one multinomial
 draw of n resamples the empirical values below x_min, each with its share
 of the sample, and gives the tail its share n_tail/n, whose observations
 are drawn from the fitted model.  Every synthetic dataset is refit from
-scratch, including its own x_min scan, and the p-value is the fraction of
-synthetic KS distances at least as large as the empirical one.
+scratch, by its own x_min scan or at the pinned x_min, as the data were,
+and the p-value is the fraction of synthetic KS distances at least as large
+as the empirical one.
 """
 
 from __future__ import annotations
@@ -68,17 +69,22 @@ def _synthetic(body: np.ndarray, p: np.ndarray, x_min: int, alpha: float,
 def gof_test(sample: CitationSample, fit: PowerLawFit,
              n_sims: int = DEFAULT_SIMS, seed: int = 0, *,
              workers: int = 1,
-             min_tail: int = DEFAULT_MIN_TAIL) -> GofResult:
+             min_tail: int = DEFAULT_MIN_TAIL,
+             x_min: int | None = None) -> GofResult:
     """Semi-parametric bootstrap p-value for the fitted power law.
 
     ``fit`` must have been produced from ``sample``; the empirical KS is
     recomputed and compared against ``fit.ks`` to catch stale pairings.
-    Each synthetic sample is refit, x_min scan included, with ``min_tail``;
-    one without a usable tail counts as exceeding the empirical KS.  The
+    Each synthetic sample is refit as the data were (Clauset et al. 2009,
+    sec. 4.1): by its own x_min scan, with ``min_tail``, or, given
+    ``x_min``, which must be ``fit.x_min``, at that pinned x_min.  One
+    without a usable tail counts as exceeding the empirical KS.  The
     result is identical for any ``workers`` count.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be at least 1")
+    if x_min is not None and x_min != fit.x_min:
+        raise ValueError(f"x_min {x_min} is not the fit's, {fit.x_min}")
     recomputed = ks_distance(sample, fit.model())
     # a NaN on either side is stale too
     if not abs(recomputed - fit.ks) <= 1e-12:
@@ -91,7 +97,7 @@ def gof_test(sample: CitationSample, fit: PowerLawFit,
     p = np.append(body_mult, n - body_mult.sum()) / n
     fits = _replicates(partial(_synthetic, sample.values[:start], p,
                                fit.x_min, fit.alpha, n, seed),
-                       n_sims, workers, min_tail, None)
+                       n_sims, workers, min_tail, x_min)
     # a synthetic draw without an admissible tail is scored as exceeding
     ks_values = np.array([np.inf if f is None else f.ks for f in fits])
 

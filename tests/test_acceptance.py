@@ -101,6 +101,25 @@ def test_c05_gof_pvalues_calibrated_on_null_data():
     assert time.perf_counter() - t0 < 1800.0
 
 
+def test_c14_gof_at_pinned_xmin_calibrated_on_null_data():
+    # 100 null samples fitted at a pinned x_min of 5, above the true 1: each
+    # synthetic sample must be refit at x_min 5 too, so p <= 0.10 must occur
+    # at about its nominal 10% rate, within 3 binomial SDs, sqrt(0.1 * 0.9 /
+    # 100) = 0.03 each, so in [0.01, 0.19].  Synthetic samples whose x_min
+    # is scanned instead all fit closer than the data, and all 100 p-values
+    # fall to 0.
+    t0 = time.perf_counter()
+    pvals = []
+    for s in range(5000, 5100):
+        sample = sample_power_law(DiscretePowerLaw(1, 2.5), 2000, seed=s)
+        fit = fit_power_law(sample, x_min=5, bootstrap_reps=0)
+        result = gof_test(sample, fit, n_sims=100, seed=1000 + s, x_min=5)
+        pvals.append(result.p_value)
+    frac = float(np.mean(np.array(pvals) <= 0.10))
+    assert 0.01 <= frac <= 0.19, f"rule-out rate {frac}"
+    assert time.perf_counter() - t0 < 120.0
+
+
 def test_c06_comparison_power_on_known_generators():
     # exponential truth: the exponential must win decisively
     s = sample_alternative(AltFit("exponential", (0.1,), 10, 0.0),

@@ -10,8 +10,8 @@ from scipy import special
 from scipy.stats import chi2, norm
 
 from heavytails import (CitationSample, DiscretePowerLaw, compare_models,
-                        fit_alternative, fit_power_law, sample_alternative,
-                        sample_power_law)
+                        fit_alpha, fit_alternative, fit_power_law,
+                        sample_alternative, sample_power_law)
 from heavytails.altmodels import (_ERFCX_CHEB, _GL_NODES, _GL_WEIGHTS,
                                   FAMILIES, AltFit, _chi2_1_sf, _cutoff_model, _cutoff_moments, _erfcx,
                                   _log_ndtr, _lognormal_logpmf,
@@ -178,6 +178,17 @@ class TestCutoffFit:
         fit = fit_alternative(s, 1, "powerlaw_cutoff")
         assert_allclose(fit.params[0], 2.0, atol=0.1)
         assert 0.004 < fit.params[1] < 0.02
+
+    def test_nests_at_fit_alpha(self):
+        # where the cutoff's rate is 0, its fit is powerlaw's, bit for bit
+        nested = 0
+        for seed in range(40):
+            s = sample_power_law(DiscretePowerLaw(3, 2.6), 3000, seed)
+            fit = fit_alternative(s, 3, "powerlaw_cutoff")
+            if fit.params[1] == 0.0:
+                nested += 1
+                assert (fit.params[0], fit.log_likelihood) == fit_alpha(s, 3)
+        assert nested > 0
 
     def test_pmf_sums_to_one(self):
         alpha, rate, q = 2.0, 0.05, 3

@@ -14,7 +14,7 @@ import heavytails
 from heavytails import SubfieldAggregate, __version__, read_counts
 from heavytails.cli import _COLUMN_FLAGS, build_parser, main
 from heavytails.dataset import write_aggregates, write_counts
-from heavytails.documents import file_digest, validate_document
+from heavytails.documents import file_digest, gof_document, validate_document
 from heavytails.ingest import DEFAULT_COLUMNS
 
 from conftest import EXPORT_HEADER, export_row
@@ -390,6 +390,19 @@ class TestGofCommand:
         assert other.pop("command").startswith("fit ")
         assert doc == other
 
+    def test_pinned_xmin_refits_each_simulation_at_it(self, counts_file,
+                                                      tmp_path):
+        out = tmp_path / "out"
+        assert run("gof", "--input", counts_file, "--outdir", out,
+                   "--sims", 40, "--seed", 3, "--xmin", 5) == 0
+        doc = json.loads((out / "gof.json").read_text())
+        sample = read_counts(counts_file)
+        fit = heavytails.fit_power_law(sample, x_min=5, bootstrap_reps=0)
+        result = heavytails.gof_test(sample, fit, 40, 3, x_min=5)
+        assert doc == gof_document(
+            result, fit, sample.label, command=doc["command"], seed=3,
+            input_digest=file_digest(counts_file))
+
     def test_failed_test_writes_no_gof_output(self, tmp_path, capsys):
         data = tmp_path / "heavy.txt"
         assert run("simulate", "--family", "powerlaw", "--alpha", 1.2,
@@ -501,6 +514,17 @@ class TestScalingCommand:
         validate_document(doc)
         assert [doc["modes"][m]["n_points"] for m in
                 ("overall", "collaboration", "single")] == [3, 3, 3]
+
+    def test_byte_order_mark_accepted(self, aggregates_file, tmp_path):
+        marked = tmp_path / "marked.tsv"
+        marked.write_text("\ufeff" + aggregates_file.read_text(),
+                          encoding="utf-8")
+        docs = []
+        for path in (aggregates_file, marked):
+            out = tmp_path / path.stem
+            assert run("scaling", "--input", path, "--outdir", out) == 0
+            docs.append(json.loads((out / "scaling.json").read_text()))
+        assert docs[0]["modes"] == docs[1]["modes"]
 
     def test_too_few_points_fails(self, tmp_path, capsys):
         aggs = [SubfieldAggregate("a", "f", 10, 5, 5, 100, 60, 40),

@@ -81,6 +81,14 @@ class TestGofTest:
         with pytest.raises(ValueError, match="stale fit"):
             gof_test(pl_sample, fit, n_sims=10, seed=0)
 
+    def test_pinned_xmin_must_be_the_fits(self, pl_tail_sample):
+        # a synthetic tail is drawn from fit.x_min: refit elsewhere, its KS
+        # is no match for the empirical one
+        fit = fit_power_law(pl_tail_sample, x_min=10, bootstrap_reps=0)
+        for x_min in (9, 11):
+            with pytest.raises(ValueError, match="^x_min .* is not the fit's"):
+                gof_test(pl_tail_sample, fit, n_sims=10, x_min=x_min)
+
     def test_nan_fit_rejected(self, pl_tail_sample):
         # a NaN alpha once drew synthetic tails forever
         fit = fit_power_law(pl_tail_sample, bootstrap_reps=0)
@@ -103,7 +111,7 @@ class TestGofTest:
 
         s = CitationSample(counts, label="geometric")
         fit = fit_power_law(s, x_min=1, bootstrap_reps=0)
-        result = gof_test(s, fit, n_sims=100, seed=9)
+        result = gof_test(s, fit, n_sims=100, seed=9, x_min=1)
         assert result.ruled_out
         assert result.p_value <= 0.05
 
