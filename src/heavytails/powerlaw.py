@@ -385,10 +385,13 @@ def _best_fits(tails: list) -> list[PowerLawFit]:
     """The candidate fit with the smallest KS (the first of ties, SDs 0) of
     each sample in ``tails``, a list of ``_candidates`` results.
 
-    One MLE solve and one KS bound serve every candidate.  The full KS is
-    computed for each sample's candidate with the smallest bound, then for
-    every candidate whose bound does not exceed that KS.  Any other
-    candidate's KS is at least its bound, so it is larger than the winner's.
+    One MLE solve and one KS bound serve every candidate.  Each sample's
+    candidates queue in ascending order of bound.  In rounds, the full KS is
+    computed for the queued candidates at the next 1, 2, 4, ... places of
+    each sample's queue.  Then every queued candidate whose bound exceeds
+    its sample's least KS so far leaves the queue: its KS is at least its
+    bound, so it is larger than the winner's.  The rounds end when every
+    queue is empty.
     """
     index = _TailIndex.join([t[0] for t in tails])
     shift = np.cumsum([0] + [t[0].values.size for t in tails])
@@ -398,17 +401,21 @@ def _best_fits(tails: list) -> list[PowerLawFit]:
     n = index.suffix_n[starts]
     alpha, ll, z = _mle(index.suffix_logsum[starts], n, q)
     bound = _ks(index, starts, alpha, z, probe=True)
-    known = index.end[starts] - starts <= 2 * _PROBE
-    ks = np.where(known, bound, np.inf)
-    lead = _argmins(bound, bounds)
-    todo = lead[~known[lead]]
-    ks[todo] = _ks(index, starts[todo], alpha[todo], z[todo])
-    known[todo] = True
-    # the other candidates whose bound does not exceed their sample's lead
-    # KS; a NaN on either side keeps a candidate, as np.argmin picks NaN
     sample = np.repeat(np.arange(len(tails)), np.diff(bounds))
-    todo = np.nonzero(~known & ~(bound > ks[lead][sample]))[0]
-    ks[todo] = _ks(index, starts[todo], alpha[todo], z[todo])
+    # each candidate's place in its sample's queue, by bound: equal bounds
+    # share a place, and a NaN bound comes last and never leaves, as a NaN
+    # KS is no bar and np.argmin picks a NaN.  The places come from a sort
+    # and a search, not an argsort, whose numpy code would add up to 128 kB
+    # to a command's peak RSS.
+    place = np.concatenate([np.searchsorted(np.sort(bound[a:b]), bound[a:b])
+                            for a, b in zip(bounds[:-1], bounds[1:])])
+    ks, end, queue = np.full(bound.size, np.inf), 1, np.arange(bound.size)
+    while queue.size:
+        head = place[queue] < end
+        todo, queue, end = queue[head], queue[~head], 2 * end + 1
+        ks[todo] = _ks(index, starts[todo], alpha[todo], z[todo])
+        best = ks[_argmins(ks, bounds)]
+        queue = queue[~(bound[queue] > best[sample[queue]])]
     return [PowerLawFit(int(q[b]), float(alpha[b]), int(n[b]), float(ks[b]),
                         0.0, 0.0, float(ll[b]))
             for b in _argmins(ks, bounds)]

@@ -149,6 +149,13 @@ class TestExponentialFit:
         with pytest.raises(ValueError, match="degenerate tail"):
             fit_alternative(s, 7, "exponential")
 
+    # a tail of one distinct value fits no family
+    @pytest.mark.parametrize("family", ["lognormal", "powerlaw_cutoff"])
+    def test_degenerate_tail_rejected_by_every_family(self, family):
+        s = CitationSample(np.array([1, 7, 7, 7]), label="flat")
+        with pytest.raises(ValueError, match="degenerate tail"):
+            fit_alternative(s, 7, family)
+
 
 class TestLognormalFit:
     def test_pmf_sums_to_one(self):

@@ -152,20 +152,23 @@ class TestSimulate:
         # the sampler's acceptance falls as 1 / sqrt(-alpha)
         ("powerlaw_cutoff", ["--alpha=-1e300", "--rate", 1],
          "alpha must be at least -5"),
+        ("powerlaw_cutoff", ["--alpha", 1.5, "--rate", -0.1],
+         "rate must be nonnegative"),
     ], ids=["powerlaw-nan", "powerlaw-inf", "cutoff-xmin-neg", "cutoff-xmin-0",
             "lognormal-xmin-0", "lognormal-mu-nan", "lognormal-sigma-nan",
             "exponential-nan", "exponential-xmin-0", "cutoff-rate-tiny",
-            "cutoff-alpha-very-negative"])
+            "cutoff-alpha-very-negative", "cutoff-rate-negative"])
     def test_bad_model_rejected_promptly(self, tmp_path, family, given,
                                          message):
         # in a fresh interpreter with a timeout: some of these once hung
-        path = tmp_path / "x.txt"
+        path = tmp_path / "x" / "y.txt"
         proc = fresh_process("heavytails.cli", "simulate", "--family",
                              family, *given, "--n", 5, "--output", path,
                              module=True, timeout=10)
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"
-        assert not path.exists()
+        # the output's directory is made only once the sample is drawn
+        assert not path.parent.exists()
 
     def test_huge_cutoff_exponent_warns_nothing(self, tmp_path):
         # the Zipf envelope's zeta at s = 1e300 once printed two warnings
@@ -346,6 +349,18 @@ class TestFit:
         assert capsys.readouterr().err == (
             "error: --threads must be at least 1\n")
         assert not out.exists()
+
+    def test_many_distinct_values_fit_promptly(self, tmp_path):
+        # in a fresh interpreter with a timeout: on 50,000 distinct values
+        # the x_min scan once took about 11 s
+        path = tmp_path / "uniform.txt"
+        write_counts(path, range(1, 50_001))
+        proc = fresh_process("heavytails.cli", "fit", "--input", path,
+                             "--outdir", tmp_path / "out", "--bootstrap", 0,
+                             module=True, timeout=5)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        fit_doc = json.loads((tmp_path / "out" / "fit.json").read_text())
+        assert 1 < fit_doc["x_min"] < 50_000
 
 
 class TestGofCommand:

@@ -329,6 +329,22 @@ class TestAggregatesIO:
         with pytest.raises(ValueError):
             read_aggregates(path)
 
+    def test_blank_file_rejected(self, tmp_path):
+        path = tmp_path / "agg.tsv"
+        path.write_text("\n\n  \n")
+        with pytest.raises(ValueError, match="^empty aggregate table$"):
+            read_aggregates(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "agg.tsv"
+        write_aggregates(path, [self._aggregate()])
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        short = "\t".join(row.split("\t")[:-1])
+        path.write_text(f"{header}\n{short}\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match="^agg.tsv:2: expected 8 columns$"):
+            read_aggregates(path)
+
     @pytest.mark.parametrize("value", ["ten", "1_0", "+10", " 10",
                                        "\u0661\u0660", "\uff11\uff10"])
     def test_non_integer_value_rejected(self, tmp_path, value):
@@ -345,8 +361,10 @@ class TestAggregatesIO:
     @pytest.mark.parametrize("column, value, message", [
         (2, "ten", "non-integer aggregate value"),
         (2, "11", r"papers_total must equal papers_collab \+ papers_single"),
+        (5, "51", r"citations_total must equal citations_collab "
+                  r"\+ citations_single"),
         (4, "-3", "papers_single must be nonnegative"),
-    ], ids=["non-integer", "unbalanced", "negative"])
+    ], ids=["non-integer", "unbalanced", "unbalanced-citations", "negative"])
     def test_row_error_names_its_line(self, tmp_path, column, value,
                                       message):
         path = tmp_path / "agg.tsv"

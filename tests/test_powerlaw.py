@@ -103,6 +103,11 @@ class TestHurwitzZeta:
         with pytest.raises(ValueError, match="non-normalizable"):
             hurwitz_zeta(0.3, 5)
 
+    @pytest.mark.parametrize("q", [0, -2])
+    def test_nonpositive_q_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            hurwitz_zeta(2.0, q)
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_nonfinite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite"):
@@ -470,6 +475,57 @@ class TestPrunedScan:
             alone = [x for r in range(12) for x in powerlaw_module._fit_each(
                 draw, range(r, r + 1), 50, x_min)]
             assert whole == alone
+
+
+class TestBestFirstScan:
+    """The scan's rounds on a sample of many distinct values, and a NaN."""
+
+    def test_full_ks_pairs_bounded_on_distinct_values(self, monkeypatch):
+        pairs = []
+        real = powerlaw_module._ks
+
+        def counting(index, starts, alpha, z_q, probe=False):
+            if not probe:
+                pairs.append(int(np.sum(index.end[starts] - starts)))
+            return real(index, starts, alpha, z_q, probe)
+
+        monkeypatch.setattr(powerlaw_module, "_ks", counting)
+        fit_power_law(CitationSample(np.arange(1, 20_001)), bootstrap_reps=0)
+        # the full KS of every candidate whose bound was under the KS of the
+        # one with the least bound took 26.5 million pairs here, and time
+        # grew as the square of the number of distinct values
+        assert sum(pairs) <= 100_000
+
+    def test_distinct_values_match_exhaustive(self, span_solves):
+        sample = CitationSample(np.arange(1, 2_001))
+        fit = fit_power_law(sample, bootstrap_reps=8, seed=5)
+        assert replace(fit, alpha_sd=0.0, x_min_sd=0.0) == _exhaustive_fit(
+            _distinct(sample, 0))
+        gof_test(sample, fit, n_sims=8, seed=6)
+        assert [len(s) for s, _, _ in span_solves] == [8, 8]
+        for samples, min_tail, fits in span_solves:
+            assert fits == [_exhaustive_fit(s, min_tail) for s in samples]
+
+    @pytest.mark.parametrize("c", [0, 3, 50, 150])
+    def test_nan_alpha_wins_as_argmin_picks_it(self, monkeypatch, c,
+                                               pl_tail_sample, heavy_sample):
+        # a NaN alpha makes the candidate's bound and KS NaN; solved with a
+        # second sample, which keeps its own winner
+        real = powerlaw_module._mle
+
+        def spoiled(log_sum, n, q):
+            alpha, ll, z = real(log_sum, n, q)
+            alpha[c] = np.nan
+            return alpha, ll, z
+
+        monkeypatch.setattr(powerlaw_module, "_mle", spoiled)
+        samples = [_distinct(pl_tail_sample, 0), _distinct(heavy_sample, 0)]
+        fits = powerlaw_module._fit_each(samples.__getitem__, range(2), 50,
+                                         None)
+        _, _, q = _scan_candidates(pl_tail_sample)
+        assert fits[0].x_min == q[c]
+        assert math.isnan(fits[0].alpha) and math.isnan(fits[0].ks)
+        assert fits[1] == _exhaustive_fit(samples[1])
 
 
 def _gof_draw(sample, fit, seed):
