@@ -598,8 +598,7 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if fit.family not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family: {fit.family!r}")
+    _check_families((fit.family,))
     names = FAMILY_PARAMS[fit.family]
     if len(fit.params) != len(names):
         raise ValueError(f"{fit.family} takes ({', '.join(names)}), "

@@ -58,8 +58,8 @@ _LEAST = {"threads": 1, "seed": 0, "bootstrap": 0, "min_tail": 0, "sims": 1,
 
 def _deferred(name: str):
     """This module's global ``documents`` or ``render``, imported on first
-    use: documents' digests load hashlib, and with it OpenSSL, which
-    `report` and `--version` never need.  The commands call through these
+    use: documents itself loads hashlib, and with it OpenSSL, which
+    `report` and `--version` never load.  The commands call through these
     globals, so that whoever replaces one (a tracer) sees every call."""
     if name not in globals():
         if name == "documents":
@@ -368,8 +368,8 @@ def _cmd_ingest(args) -> None:
         write_counts(args.outdir / f"counts_{mode}.txt", digest,
                      [f"heavytails {__version__}", f"command: {command}",
                       f"mode: {mode}"])
-    # the digests load OpenSSL only now, once export_rows has freed the
-    # record ids it kept to find duplicates
+    # documents loads OpenSSL, through hashlib, only now, once export_rows
+    # has freed the record ids it kept to find duplicates
     documents = _deferred("documents")
     doc = documents.ingest_document(
         command=command, seed=args.seed,

@@ -8,8 +8,10 @@ indentation; equal results serialize to equal bytes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -39,18 +41,12 @@ DOCUMENT_KINDS = ("fit", "gof", "compare", "scaling", "ingest")
 _DIGEST_BLOCK = 1 << 14  # file_digest's one read buffer, in bytes
 
 
-# hashlib is imported by the two digests, its only users: it loads OpenSSL,
-# which a command needs only once it digests its input
 def content_digest(data: bytes) -> str:
-    import hashlib
-
     return hashlib.sha256(data).hexdigest()
 
 
 def file_digest(path: str | Path) -> str:
     """content_digest of the file's bytes, read into one reused buffer."""
-    import hashlib
-
     digest, view = hashlib.sha256(), memoryview(bytearray(_DIGEST_BLOCK))
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(view):
@@ -76,10 +72,6 @@ def _num(value: float) -> float | None:
 def _fields(result, *names) -> dict:
     """The named fields of a result dataclass (all of them by default),
     each non-finite float as None."""
-    # imported here: at module level it would also load inspect, which
-    # `report` and `--version` do not need
-    from dataclasses import fields
-
     out = {}
     for name in names or [f.name for f in fields(result)]:
         value = getattr(result, name)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._constants import DEFAULT_SIMS
 from ._rng import DOMAIN_GOF, derived_rng
-from .dataset import CitationSample
+from .dataset import CitationSample, _whole
 from .powerlaw import (DEFAULT_MIN_TAIL, PowerLawFit, _replicates,
                        _tail_draws, ks_distance)
 
@@ -81,8 +81,9 @@ def gof_test(sample: CitationSample, fit: PowerLawFit,
     without a usable tail counts as exceeding the empirical KS.  The
     result is identical for any ``workers`` count.
     """
-    if n_sims < 1:
-        raise ValueError("n_sims must be at least 1")
+    n_sims = _whole(n_sims)
+    if n_sims is None or n_sims < 1:
+        raise ValueError("n_sims must be a positive integer")
     if x_min is not None and x_min != fit.x_min:
         raise ValueError(f"x_min {x_min} is not the fit's, {fit.x_min}")
     recomputed = ks_distance(sample, fit.model())

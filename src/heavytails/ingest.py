@@ -9,6 +9,7 @@ pass, into sums and value -> count digests: nothing is held per row.
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -212,8 +213,6 @@ def read_classification(lines: Iterable[str]) -> dict[str, tuple[str, str]]:
     Keys are normalized journal names.  A journal mapping to two different
     subfields, or a subfield to two different fields, is an error.
     """
-    import csv
-
     reader = csv.reader(lines)
     try:
         header = next(reader)

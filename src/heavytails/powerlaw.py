@@ -18,7 +18,7 @@ import numpy as np
 
 from ._constants import DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL
 from ._rng import DOMAIN_BOOTSTRAP, DOMAIN_SAMPLING, derived_rng
-from .dataset import CitationSample
+from .dataset import CitationSample, _whole
 
 __all__ = [
     "hurwitz_zeta",
@@ -130,9 +130,9 @@ def _exponent(alpha) -> float:
 
 
 def _lower_bound(x_min) -> int:
-    """x_min as an int; ValueError unless it is at least 1."""
-    x_min = int(x_min)
-    if x_min < 1:
+    """x_min as an int; ValueError unless it is a whole number, at least 1."""
+    x_min = _whole(x_min)
+    if x_min is None or x_min < 1:
         raise ValueError("x_min must be a positive integer")
     return x_min
 
@@ -144,8 +144,8 @@ def hurwitz_zeta(alpha: float, q: int) -> float:
     where the series diverges, and for a non-finite alpha.
     """
     alpha = _exponent(alpha)
-    q = int(q)
-    if q < 1:
+    q = _whole(q)
+    if q is None or q < 1:
         raise ValueError("q must be a positive integer")
     return float(_zeta(alpha, q)[0])
 
@@ -479,13 +479,6 @@ def _fit_each(draw, replicates, min_tail: int,
     return fits
 
 
-def _fit(values: np.ndarray, counts: np.ndarray, min_tail: int,
-         x_min: int | None = None) -> PowerLawFit:
-    """The best fit of one sample's digest; ValueError without a usable
-    tail."""
-    return _best_fits([_candidates(values, counts, min_tail, x_min)])[0]
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -496,8 +489,8 @@ def fit_alpha(sample: CitationSample, x_min: int) -> tuple[float, float]:
     Returns ``(alpha, log_likelihood)``.  alpha is the root of the
     likelihood score, found by safeguarded Newton to within rounding.
     """
-    res = _fit(*_distinct(sample, x_min), DEFAULT_MIN_TAIL, x_min)
-    return res.alpha, res.log_likelihood
+    fit = fit_power_law(sample, x_min=_lower_bound(x_min), bootstrap_reps=0)
+    return fit.alpha, fit.log_likelihood
 
 
 def ks_distance(sample: CitationSample, model: DiscretePowerLaw) -> float:
@@ -559,7 +552,8 @@ def fit_power_law(sample: CitationSample, *,
     result is identical for any ``workers`` count.
     """
     # a pinned x_min takes its tail's digest, which is empty past the data
-    main = _fit(*_distinct(sample, x_min or 0), min_tail, x_min)
+    main = _best_fits([_candidates(*_distinct(sample, x_min or 0), min_tail,
+                                   x_min)])[0]
 
     if bootstrap_reps > 0:
         values, mult = sample.values, sample.multiplicities

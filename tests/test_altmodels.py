@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 from scipy.stats import chi2, norm
 
+import heavytails.altmodels as altmodels_module
 from heavytails import (CitationSample, DiscretePowerLaw, compare_models,
                         fit_alpha, fit_alternative, fit_power_law,
                         sample_alternative, sample_power_law)
@@ -196,6 +197,34 @@ class TestCutoffFit:
                 nested += 1
                 assert (fit.params[0], fit.log_likelihood) == fit_alpha(s, 3)
         assert nested > 0
+
+    @pytest.mark.parametrize("fallback", ["no-start", "newton-fails",
+                                          "below-anchor"])
+    def test_failed_search_returns_nested_fit(self, monkeypatch, fallback):
+        # alpha <= 2 has no finite mean, so the rate score cannot return the
+        # nested fit before the search; unpatched, this fit has rate > 0
+        s = sample_power_law(DiscretePowerLaw(1, 1.5), 5000, seed=3)
+        alpha_pl, ll_pl = fit_alpha(s, 1)
+        assert alpha_pl <= 2.0
+        assert fit_alternative(s, 1, "powerlaw_cutoff").params[1] > 0.0
+
+        def fail(*args):
+            raise RuntimeError("no convergence")
+
+        if fallback == "no-start":
+            monkeypatch.setattr(altmodels_module, "_line_search",
+                                lambda *args: None)
+        elif fallback == "newton-fails":
+            monkeypatch.setattr(altmodels_module, "_newton", fail)
+        else:
+            monkeypatch.setattr(altmodels_module, "_newton",
+                                lambda model, start, lo, hi:
+                                (start, ll_pl - 1.0))
+        assert fit_alternative(s, 1, "powerlaw_cutoff") == AltFit(
+            "powerlaw_cutoff", (alpha_pl, 0.0), 1, ll_pl)
+        pl = fit_power_law(s, x_min=1, bootstrap_reps=0)
+        [cutoff] = compare_models(s, pl, ("powerlaw_cutoff",))
+        assert cutoff.lr == 0.0
 
     def test_pmf_sums_to_one(self):
         alpha, rate, q = 2.0, 0.05, 3

@@ -1191,8 +1191,8 @@ class TestImports:
         for name in ("list", "array", "digest", "ndarray"):
             assert (tmp_path / name).read_bytes() == b"# h\n0\n3\n3\n12\n"
 
-    # documents imports dataclasses only when it builds a document: at
-    # module level it would also load inspect
+    # documents itself loads dataclasses, and with it inspect; `--version`
+    # and `report` never load documents
     @pytest.mark.parametrize("argv", [
         ["--version"], ["report", "--input", "doc/fit.json"],
     ], ids=["version", "report"])

@@ -104,6 +104,7 @@ class TestCitationSample:
         ([float("nan"), 1.0], "^citation counts must be integers$"),
         ({1.5: 2}, "^citation counts must be integers$"),
         ({True: 2}, "^citation counts must be integers$"),
+        ({"x": 1}, "^citation counts must be integers$"),
         ({-3: 1}, "^citation counts must be nonnegative$"),
         ({2 ** 63: 1}, "^citation count out of range$"),
         ({5: -1, 7: 2}, "multiplicity of 5 must be a positive integer"),
@@ -113,7 +114,7 @@ class TestCitationSample:
         ({1: 2 ** 62, 2: 2 ** 62}, "2\\*\\*63 or more citation counts"),
         ({}, "^empty dataset$"),
     ], ids=["2-d", "0-d", "bool", "str", "mixed-str", "complex", "nan",
-            "digest-fraction", "digest-bool", "digest-negative",
+            "digest-fraction", "digest-bool", "digest-str", "digest-negative",
             "digest-2**63", "digest-negative-multiplicity",
             "digest-zero-multiplicity", "digest-fractional-multiplicity",
             "digest-bool-multiplicity", "digest-total-2**63", "digest-empty"])
@@ -190,6 +191,11 @@ class TestPartitionShares:
         shares = partition_shares(collab, single)
         assert shares.ratio is None
         assert shares.share_collab == 1.0
+
+    def test_no_citations_at_all(self):
+        collab = summarize(CitationSample(np.array([0, 0]), label="c"))
+        single = summarize(CitationSample(np.array([0]), label="s"))
+        assert partition_shares(collab, single) == (0.0, 0.0, None)
 
 
 class TestCountsIO:

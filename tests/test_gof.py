@@ -102,6 +102,17 @@ class TestGofTest:
         with pytest.raises(ValueError, match="n_sims"):
             gof_test(pl_tail_sample, fit, n_sims=0, seed=0)
 
+    def test_rejects_non_whole_sims(self, pl_tail_sample):
+        # truncated, 2.5 would run 2 simulations and report p = 2 / 2.5
+        fit = fit_power_law(pl_tail_sample, bootstrap_reps=0)
+        for n_sims in (2.5, True):
+            with pytest.raises(ValueError,
+                               match="^n_sims must be a positive integer$"):
+                gof_test(pl_tail_sample, fit, n_sims=n_sims, seed=0)
+        result = gof_test(pl_tail_sample, fit, n_sims=3.0, seed=0)
+        assert result == gof_test(pl_tail_sample, fit, n_sims=3, seed=0)
+        assert type(result.n_sims) is int
+
     def test_detects_gross_misfit(self):
         # geometric data decays far too fast for a power law over its whole
         # range; with x_min pinned at 1 the test must rule the power law out

@@ -190,6 +190,11 @@ class TestReadClassification:
                                        "ACTA & FRIENDS,nat,sub"])
         assert mapping["acta and friends"] == ("nat", "sub")
 
+    def test_blank_rows_skipped(self):
+        mapping = read_classification(["journal,field,subfield", ",,",
+                                       "acta,nat,sub", "  ,  ,", ""])
+        assert mapping == {"acta": ("nat", "sub")}
+
     def test_conflicting_journal_rejected(self):
         lines = ["journal,field,subfield",
                  "acta,nat,sub-a",

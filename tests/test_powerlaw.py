@@ -108,6 +108,12 @@ class TestHurwitzZeta:
         with pytest.raises(ValueError, match="q must be a positive integer"):
             hurwitz_zeta(2.0, q)
 
+    @pytest.mark.parametrize("q", [2.5, True])
+    def test_non_whole_q_rejected(self, q):
+        # truncated, 2.5 would give zeta(2, 2); True would read as 1
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            hurwitz_zeta(2.0, q)
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_nonfinite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite"):
@@ -328,6 +334,30 @@ class TestScan:
     def test_nonpositive_pinned_xmin_rejected(self, pl_sample, x_min):
         with pytest.raises(ValueError, match="x_min must be a positive"):
             fit_power_law(pl_sample, x_min=x_min, bootstrap_reps=4)
+
+    @pytest.mark.parametrize("pin", [
+        lambda s: fit_power_law(s, x_min=2.7, bootstrap_reps=0),
+        lambda s: fit_alpha(s, 2.7),
+        lambda s: DiscretePowerLaw(2.7, 2.5),
+        lambda s: DiscretePowerLaw(True, 2.5),
+    ], ids=["fit_power_law", "fit_alpha", "model", "model-bool"])
+    def test_non_whole_xmin_rejected(self, pin):
+        # truncated, x_min 2.7 would slice the tail at 3 but normalize the
+        # model at 2
+        s = sample_power_law(DiscretePowerLaw(1, 2.5), 5000, seed=1)
+        with pytest.raises(ValueError,
+                           match="^x_min must be a positive integer$"):
+            pin(s)
+
+    @pytest.mark.parametrize("x_min", [3.0, np.int64(3)],
+                             ids=["float", "int64"])
+    def test_whole_xmin_accepted(self, x_min):
+        s = sample_power_law(DiscretePowerLaw(1, 2.5), 5000, seed=1)
+        fit = fit_power_law(s, x_min=x_min, bootstrap_reps=0)
+        assert fit == fit_power_law(s, x_min=3, bootstrap_reps=0)
+        assert type(fit.x_min) is int
+        assert fit_alpha(s, x_min) == (fit.alpha, fit.log_likelihood)
+        assert DiscretePowerLaw(x_min, 2.5) == DiscretePowerLaw(3, 2.5)
 
 
 def _exhaustive_fit(digest, min_tail=50):
@@ -673,6 +703,11 @@ class TestBootstrap:
         a = fit_power_law(pl_sample, bootstrap_reps=40, seed=2, workers=1)
         b = fit_power_law(pl_sample, bootstrap_reps=40, seed=2, workers=3)
         assert a == b
+
+    def test_negative_seed_rejected(self, pl_sample):
+        with pytest.raises(ValueError,
+                           match="^seed must be a nonnegative integer$"):
+            fit_power_law(pl_sample, bootstrap_reps=2, seed=-1)
 
     def test_seed_changes_replicates(self, pl_sample):
         a = fit_power_law(pl_sample, x_min=1, bootstrap_reps=40, seed=1)
