@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import _at_least
+
 # Domain tags keep replicate streams of different subsystems disjoint even
 # when they share a base seed.
 DOMAIN_SAMPLING = 0
@@ -16,14 +18,7 @@ DOMAIN_BOOTSTRAP = 1
 DOMAIN_GOF = 2
 
 
-def check_seed(seed: int) -> int:
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    return seed
-
-
 def derived_rng(seed: int, domain: int, replicate: int = 0) -> np.random.Generator:
     """Generator for one replicate of one domain under a base seed."""
-    ss = np.random.SeedSequence([check_seed(seed), domain, replicate])
+    ss = np.random.SeedSequence([_at_least(seed, 0, "seed"), domain, replicate])
     return np.random.Generator(np.random.PCG64(ss))

@@ -19,9 +19,9 @@ import numpy as np
 
 from ._constants import FAMILIES, FAMILY_PARAMS
 from ._rng import DOMAIN_SAMPLING, derived_rng
-from .dataset import CitationSample
+from .dataset import CitationSample, _at_least
 from .powerlaw import (_INT_LIMIT, PowerLawFit, _as_counts, _distinct,
-                       _exponent, _lower_bound, _rejection, _tail_draws, _zeta,
+                       _exponent, _rejection, _tail_draws, _zeta,
                        _zipf_proposals, fit_alpha)
 
 __all__ = [
@@ -452,7 +452,7 @@ def fit_alternative(sample: CitationSample, x_min: int, family: str) -> AltFit:
     """MLE of a discretized alternative on the tail x >= x_min; the cutoff
     nests at ``fit_alpha(sample, x_min)``, bit for bit where its rate is 0."""
     _check_families((family,))
-    x_min = _lower_bound(x_min)
+    x_min = _at_least(x_min, 1, "x_min")
     values, counts = np.array(_distinct(sample, x_min), dtype=np.float64)
     anchor = fit_alpha(sample, x_min) if family == "powerlaw_cutoff" else None
     return _fit(family, values, counts, x_min, anchor)
@@ -594,16 +594,16 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
     """Draw n deterministic variates from the discretized family.
 
     x_min must be at least 1, and every parameter finite and inside the
-    family's domain.
+    family's domain.  ``n``, ``seed`` and x_min must be whole numbers: a
+    fraction or a bool raises ValueError, and 5.0 is read as 5.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _at_least(n, 1, "n")
     _check_families((fit.family,))
     names = FAMILY_PARAMS[fit.family]
     if len(fit.params) != len(names):
         raise ValueError(f"{fit.family} takes ({', '.join(names)}), "
                          f"got {fit.params}")
-    q = _lower_bound(fit.x_min)
+    q = _at_least(fit.x_min, 1, "x_min")
     if not np.all(np.isfinite(fit.params)):
         raise ValueError(f"{fit.family} parameters must be finite")
     rng = derived_rng(seed, DOMAIN_SAMPLING, 0)
@@ -611,12 +611,12 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
         rate = fit.params[0]
         if rate <= 0:
             raise ValueError("rate must be positive")
-        x = q + _as_counts(_geometric(rate, rng.random(int(n))))
+        x = q + _as_counts(_geometric(rate, rng.random(n)))
     elif fit.family == "lognormal":
         mu, sigma = fit.params
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        x = _lognormal_draws(float(mu), float(sigma), q, int(n), rng)
+        x = _lognormal_draws(float(mu), float(sigma), q, n, rng)
     else:
         alpha, rate = fit.params
         if rate < 0:
@@ -624,8 +624,8 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
         if rate > 0.0 and alpha < _CUTOFF_ALPHA_MIN:
             raise ValueError(f"alpha must be at least {_CUTOFF_ALPHA_MIN:g}")
         if rate == 0.0:
-            x = _tail_draws(_exponent(alpha), q, int(n), rng)
+            x = _tail_draws(_exponent(alpha), q, n, rng)
         else:
-            x = _cutoff_draws(alpha, rate, q, int(n), rng)
+            x = _cutoff_draws(alpha, rate, q, n, rng)
     pretty = ",".join(f"{p:g}" for p in fit.params)
     return CitationSample(x, label=f"{fit.family}({pretty}, x_min={q}, seed={seed})")

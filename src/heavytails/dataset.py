@@ -156,6 +156,16 @@ def _whole(value) -> int | None:
     return whole if whole == value else None
 
 
+def _at_least(value, least: int, name: str) -> int:
+    """``value`` as an int; ValueError unless it is a whole number of at
+    least ``least``, 1 (positive) or 0 (nonnegative)."""
+    whole = _whole(value)
+    if whole is None or whole < least:
+        kind = "positive" if least else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer")
+    return whole
+
+
 def _count(value) -> int:
     """One citation count as an int; a ValueError says what is wrong."""
     whole = _whole(value)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._constants import DEFAULT_BOOTSTRAP_REPS, DEFAULT_MIN_TAIL
 from ._rng import DOMAIN_BOOTSTRAP, DOMAIN_SAMPLING, derived_rng
-from .dataset import CitationSample, _whole
+from .dataset import CitationSample, _at_least
 
 __all__ = [
     "hurwitz_zeta",
@@ -129,14 +129,6 @@ def _exponent(alpha) -> float:
     return alpha
 
 
-def _lower_bound(x_min) -> int:
-    """x_min as an int; ValueError unless it is a whole number, at least 1."""
-    x_min = _whole(x_min)
-    if x_min is None or x_min < 1:
-        raise ValueError("x_min must be a positive integer")
-    return x_min
-
-
 def hurwitz_zeta(alpha: float, q: int) -> float:
     """Sum of (k + q)**(-alpha) over k = 0, 1, 2, ...
 
@@ -144,10 +136,7 @@ def hurwitz_zeta(alpha: float, q: int) -> float:
     where the series diverges, and for a non-finite alpha.
     """
     alpha = _exponent(alpha)
-    q = _whole(q)
-    if q is None or q < 1:
-        raise ValueError("q must be a positive integer")
-    return float(_zeta(alpha, q)[0])
+    return float(_zeta(alpha, _at_least(q, 1, "q"))[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +147,7 @@ class DiscretePowerLaw:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x_min", _lower_bound(self.x_min))
+        object.__setattr__(self, "x_min", _at_least(self.x_min, 1, "x_min"))
         object.__setattr__(self, "alpha", _exponent(self.alpha))
 
     @property
@@ -428,10 +417,9 @@ def _candidates(values: np.ndarray, counts: np.ndarray, min_tail: int,
 
     The candidates are the observed values whose tail holds at least
     max(min_tail, 2) observations, the largest value excepted, or the pinned
-    ``x_min`` alone.  Raises ValueError when there is none.
+    ``x_min`` alone; the caller has checked both.  Raises ValueError when
+    there is none.
     """
-    if x_min is not None:
-        x_min = _lower_bound(x_min)
     # zeros stay in the sample for descriptive statistics but never enter a
     # tail: log x is undefined at 0.  A value a replicate did not draw has
     # multiplicity 0.
@@ -439,7 +427,7 @@ def _candidates(values: np.ndarray, counts: np.ndarray, min_tail: int,
     index = _TailIndex(values[keep], counts[keep])
     if x_min is None:
         m = index.values.size
-        starts = np.nonzero((index.suffix_n >= max(int(min_tail), 2))
+        starts = np.nonzero((index.suffix_n >= max(min_tail, 2))
                             & (np.arange(m) <= m - 2))[0]
         if starts.size == 0:
             raise ValueError("insufficient tail")
@@ -489,7 +477,8 @@ def fit_alpha(sample: CitationSample, x_min: int) -> tuple[float, float]:
     Returns ``(alpha, log_likelihood)``.  alpha is the root of the
     likelihood score, found by safeguarded Newton to within rounding.
     """
-    fit = fit_power_law(sample, x_min=_lower_bound(x_min), bootstrap_reps=0)
+    fit = fit_power_law(sample, x_min=_at_least(x_min, 1, "x_min"),
+                        bootstrap_reps=0)
     return fit.alpha, fit.log_likelihood
 
 
@@ -550,7 +539,14 @@ def fit_power_law(sample: CitationSample, *,
     reports 0.0).  A replicate without a usable tail carries no estimate,
     and the SDs stay 0.0 unless at least two replicates have one.  The
     result is identical for any ``workers`` count.
+
+    ``x_min``, ``min_tail``, ``bootstrap_reps`` and ``seed`` must be whole
+    numbers: a fraction or a bool raises ValueError, and 5.0 is read as 5.
     """
+    if x_min is not None:
+        x_min = _at_least(x_min, 1, "x_min")
+    min_tail = _at_least(min_tail, 0, "min_tail")
+    bootstrap_reps = _at_least(bootstrap_reps, 0, "bootstrap_reps")
     # a pinned x_min takes its tail's digest, which is empty past the data
     main = _best_fits([_candidates(*_distinct(sample, x_min or 0), min_tail,
                                    x_min)])[0]
@@ -629,11 +625,14 @@ def _tail_draws(alpha: float, q: int, n: int, rng) -> np.ndarray:
 
 
 def sample_power_law(model: DiscretePowerLaw, n: int, seed: int) -> CitationSample:
-    """Draw n exact variates from the discrete power law, deterministically."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """Draw n exact variates from the discrete power law, deterministically.
+
+    ``n`` and ``seed`` must be whole numbers: a fraction or a bool raises
+    ValueError, and 5.0 is read as 5.
+    """
+    n = _at_least(n, 1, "n")
     rng = derived_rng(seed, DOMAIN_SAMPLING, 0)
-    x = _tail_draws(model.alpha, model.x_min, int(n), rng)
+    x = _tail_draws(model.alpha, model.x_min, n, rng)
     label = f"powerlaw(x_min={model.x_min}, alpha={model.alpha:g}, seed={seed})"
     return CitationSample(x, label=label)
 

@@ -21,7 +21,7 @@ from itertools import count, islice
 from typing import Iterable, Sequence
 
 from ._constants import MODES
-from .dataset import SubfieldAggregate
+from .dataset import SubfieldAggregate, _whole
 
 __all__ = [
     "MODES",
@@ -45,10 +45,11 @@ class ScalingPoint:
     cbp: int
 
     def __post_init__(self):
-        if int(self.size) < 1 or int(self.cbp) < 1:
-            raise ValueError("size and cbp must be positive")
-        object.__setattr__(self, "size", int(self.size))
-        object.__setattr__(self, "cbp", int(self.cbp))
+        size, cbp = _whole(self.size), _whole(self.cbp)
+        if size is None or cbp is None or min(size, cbp) < 1:
+            raise ValueError("size and cbp must be positive integers")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "cbp", cbp)
 
 
 @dataclass(frozen=True, slots=True)

@@ -524,6 +524,17 @@ class TestSampleAlternative:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="n must be"):
             sample_alternative(AltFit("exponential", (0.5,), 1, 0.0), 0, 1)
+        # truncated, n 2.5 drew 2 variates and seed 2.5 ran as seed 2
+        for n in (2.5, True):
+            with pytest.raises(ValueError,
+                               match="^n must be a positive integer$"):
+                sample_alternative(AltFit("exponential", (0.5,), 1, 0.0),
+                                   n, 1)
+        for seed in (2.5, True):
+            with pytest.raises(ValueError,
+                               match="^seed must be a nonnegative integer$"):
+                sample_alternative(AltFit("exponential", (0.5,), 1, 0.0),
+                                   5, seed)
         with pytest.raises(ValueError, match="rate must be positive"):
             sample_alternative(AltFit("exponential", (0.0,), 1, 0.0), 5, 1)
         with pytest.raises(ValueError, match="sigma"):

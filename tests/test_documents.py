@@ -17,6 +17,7 @@ from heavytails.documents import (_DIGEST_BLOCK, DOCUMENT_KINDS,
                                   write_document)
 from heavytails.gof import GofResult
 from heavytails.powerlaw import PowerLawFit
+from heavytails.report import render
 from heavytails.scaling import ScalingFit
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -190,3 +191,59 @@ class TestGoldenBytes:
         for kind in DOCUMENT_KINDS:
             doc = json.loads((GOLDEN_DIR / f"{kind}.json").read_text())
             validate_document(doc)
+
+
+class TestRenderText:
+    """The report text of the kinds no command chain in the suite renders."""
+
+    def test_compare(self):
+        doc = build_compare_doc()
+        validate_document(doc)
+        # the cutoff's null z prints n/a, and its note gets a line
+        assert render(doc) == "\n".join([
+            "model comparison for golden (x_min 2, alpha 2.5); positive LR "
+            "favors the power law",
+            "alternative      LR    z     p      verdict",
+            "---------------  ----  ----  -----  ------------",
+            "exponential      3.5   1.75  0.08   inconclusive",
+            "powerlaw_cutoff  -0.5  n/a   0.317  inconclusive",
+            "note (powerlaw_cutoff): zero variance of pointwise "
+            "log-likelihood differences",
+        ])
+
+    def test_scaling(self):
+        # the paper's collaboration and single-author exponents, given out
+        # of MODES order
+        collab = ScalingFit(exponent=1.20, intercept_log=0.5, k=10.0**0.5,
+                            exponent_se=0.07, r2=0.9, t_stat=17.0,
+                            p_value=1e-6, df=40, n_points=42)
+        single = ScalingFit(exponent=0.85, intercept_log=0.75, k=10.0**0.75,
+                            exponent_se=0.11, r2=0.6, t_stat=7.5,
+                            p_value=2e-5, df=40, n_points=42)
+        doc = scaling_document(
+            {"single": (single, [("dormant", "zero papers")]),
+             "collaboration": (collab, [])},
+            command="heavytails scaling golden", seed=0,
+            input_digest=ABC_SHA)
+        validate_document(doc)
+        # 2^n: 2**1.2 = 2.29740 and 2**0.85 = 1.80250
+        assert render(doc) == "\n".join([
+            "scaling regression (log10 CBP vs log10 size)",
+            "mode           exponent  SE    R2   t    df  p      2^n",
+            "-------------  --------  ----  ---  ---  --  -----  -----",
+            "collaboration  1.2       0.07  0.9  17   40  1e-06  2.297",
+            "single         0.85      0.11  0.6  7.5  40  2e-05  1.803",
+            "excluded from single: dormant (zero papers)",
+        ])
+
+    def test_ingest(self):
+        doc = build_ingest_doc()
+        validate_document(doc)
+        # mode counts sorted by name, not in MODES order
+        assert render(doc) == "\n".join([
+            "ingestion summary",
+            "  records kept   4",
+            "  rows rejected  1",
+            "  subfields      2",
+            "  mode counts    collaboration: 2, overall: 4, single: 2",
+        ])

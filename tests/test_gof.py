@@ -113,6 +113,27 @@ class TestGofTest:
         assert result == gof_test(pl_tail_sample, fit, n_sims=3, seed=0)
         assert type(result.n_sims) is int
 
+    def test_rejects_non_whole_seed_min_tail_and_xmin(self):
+        # truncated, seed 2.5 ran on seed 2's streams and min_tail 50.7 as
+        # 50; a pinned x_min of True, equal to the fit's 1, failed every
+        # synthetic fit, for p = 1
+        s = sample_power_law(DiscretePowerLaw(1, 2.5), 2000, seed=1)
+        fit = fit_power_law(s, x_min=1, bootstrap_reps=0)
+        for seed in (2.5, True):
+            with pytest.raises(ValueError,
+                               match="^seed must be a nonnegative integer$"):
+                gof_test(s, fit, n_sims=3, seed=seed)
+        for min_tail in (50.7, -1):
+            with pytest.raises(ValueError,
+                               match="^min_tail must be a nonnegative "
+                                     "integer$"):
+                gof_test(s, fit, n_sims=3, seed=0, min_tail=min_tail)
+        with pytest.raises(ValueError,
+                           match="^x_min must be a positive integer$"):
+            gof_test(s, fit, n_sims=3, seed=0, x_min=True)
+        assert gof_test(s, fit, n_sims=3, seed=np.int64(0), x_min=1.0) == \
+            gof_test(s, fit, n_sims=3, seed=0, x_min=1)
+
     def test_detects_gross_misfit(self):
         # geometric data decays far too fast for a power law over its whole
         # range; with x_min pinned at 1 the test must rule the power law out

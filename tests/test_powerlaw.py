@@ -360,6 +360,55 @@ class TestScan:
         assert DiscretePowerLaw(x_min, 2.5) == DiscretePowerLaw(3, 2.5)
 
 
+_UNIT = DiscretePowerLaw(1, 2.5)
+
+
+class TestWholeArguments:
+    # truncated, n 2.5 drew 2 variates, seed 2.5 ran on seed 2's stream,
+    # min_tail 50.7 acted as 50 and bootstrap_reps 2.5 ran 2 replicates; a
+    # negative min_tail or bootstrap_reps acted as 2 or 0
+    @pytest.mark.parametrize("call, name, kind", [
+        (lambda s: sample_power_law(_UNIT, 2.5, seed=1), "n", "positive"),
+        (lambda s: sample_power_law(_UNIT, True, seed=1), "n", "positive"),
+        (lambda s: sample_power_law(_UNIT, 50, seed=2.5), "seed",
+         "nonnegative"),
+        (lambda s: sample_power_law(_UNIT, 50, seed=True), "seed",
+         "nonnegative"),
+        (lambda s: fit_power_law(s, bootstrap_reps=2, seed=2.5), "seed",
+         "nonnegative"),
+        (lambda s: fit_power_law(s, bootstrap_reps=2, seed=True), "seed",
+         "nonnegative"),
+        (lambda s: fit_power_law(s, min_tail=50.7, bootstrap_reps=0),
+         "min_tail", "nonnegative"),
+        (lambda s: fit_power_law(s, min_tail=-1, bootstrap_reps=0),
+         "min_tail", "nonnegative"),
+        (lambda s: fit_power_law(s, bootstrap_reps=2.5), "bootstrap_reps",
+         "nonnegative"),
+        (lambda s: fit_power_law(s, bootstrap_reps=True), "bootstrap_reps",
+         "nonnegative"),
+        (lambda s: fit_power_law(s, bootstrap_reps=-1), "bootstrap_reps",
+         "nonnegative"),
+    ], ids=["n-fraction", "n-bool", "seed-fraction", "seed-bool",
+            "bootstrap-seed-fraction", "bootstrap-seed-bool",
+            "min_tail-fraction", "min_tail-negative", "reps-fraction",
+            "reps-bool", "reps-negative"])
+    def test_non_whole_rejected(self, call, name, kind):
+        s = sample_power_law(_UNIT, 2000, seed=1)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a {kind} integer$"):
+            call(s)
+
+    def test_whole_values_accepted(self):
+        a = sample_power_law(_UNIT, 5.0, seed=np.int64(3))
+        b = sample_power_law(_UNIT, 5, seed=3)
+        assert_array_equal(a.counts, b.counts)
+        assert a.label == b.label
+        s = sample_power_law(_UNIT, 2000, seed=1)
+        assert fit_power_law(s, min_tail=50.0, bootstrap_reps=2.0,
+                             seed=np.int64(3)) == \
+            fit_power_law(s, min_tail=50, bootstrap_reps=2, seed=3)
+
+
 def _exhaustive_fit(digest, min_tail=50):
     """The scan's reference: every candidate's full KS, then np.argmin."""
     values, counts = digest

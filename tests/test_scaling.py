@@ -270,6 +270,17 @@ class TestIndicators:
         with pytest.raises(ValueError, match="must be positive"):
             ScalingPoint("x", 10, 0)
 
+    def test_point_takes_whole_totals(self):
+        # truncated, 2.7 papers and 5.9 citations were held as 2 and 5
+        for size, cbp in ((2.7, 5), (5, 5.9), (True, 3), (3, True)):
+            with pytest.raises(ValueError,
+                               match="^size and cbp must be positive "
+                                     "integers$"):
+                ScalingPoint("x", size, cbp)
+        point = ScalingPoint("x", 10.0, np.int64(5))
+        assert (point.size, point.cbp) == (10, 5)
+        assert type(point.size) is int and type(point.cbp) is int
+
 
 def _agg(sid, pc, ps, cc, cs, field="f1"):
     return SubfieldAggregate(subfield_id=sid, field_id=field,
