@@ -606,6 +606,7 @@ def sample_alternative(fit: AltFit, n: int, seed: int) -> CitationSample:
     q = _at_least(fit.x_min, 1, "x_min")
     if not np.all(np.isfinite(fit.params)):
         raise ValueError(f"{fit.family} parameters must be finite")
+    seed = _at_least(seed, 0, "seed")  # the label's seed: 3.0 as 3
     rng = derived_rng(seed, DOMAIN_SAMPLING, 0)
     if fit.family == "exponential":
         rate = fit.params[0]

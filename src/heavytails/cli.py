@@ -109,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for output artifacts")
         p.add_argument("--seed", type=int, default=0,
                        help="base seed; all randomness derives from it")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (never changes results)")
+        if bootstrap or sims:  # where replicates run
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker processes (never changes results)")
         if xmin:
             p.add_argument("--label", help="sample label (default: file stem)")
             p.add_argument("--xmin", type=int,
@@ -181,94 +182,86 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_sims(args) -> int:
-    if args.sims is not None:
-        return args.sims
-    if args.epsilon is not None:
-        from .gof import required_sims
-        return required_sims(args.epsilon)
-    return DEFAULT_SIMS
+def _publisher(args):
+    """publish(kind, *results, **fields): ``documents.<kind>_document``,
+    recording the command, the seed and the input's SHA-256 (hashed once
+    per command), written to ``<kind>.json`` in --outdir."""
+    documents = _deferred("documents")
+    envelope = {"command": _recorded(args, _RECORDED[args.command]),
+                "seed": args.seed,
+                "input_digest": documents.file_digest(args.input)}
+
+    def publish(kind: str, *results, **fields) -> None:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        build = getattr(documents, f"{kind}_document")
+        documents.write_document(build(*results, **envelope, **fields),
+                                 args.outdir / f"{kind}.json")
+    return publish
 
 
-def _write_csv(path: Path, header: str, rows, sep: str = ",") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(sep.join(_cell(v) for v in row) + "\n")
+def _read_and_fit(args, bootstrap_reps: int = 0, workers: int = 1):
+    """The --input counts as a sample, and its power-law fit."""
+    from .dataset import read_counts
+    from .powerlaw import fit_power_law
 
-
-def _cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    sample = read_counts(args.input, label=args.label)
+    if bootstrap_reps > 0:
+        print(f"bootstrap: {bootstrap_reps} replicates", file=sys.stderr)
+    return sample, fit_power_law(sample, x_min=args.xmin,
+                                 min_tail=args.min_tail,
+                                 bootstrap_reps=bootstrap_reps,
+                                 seed=args.seed, workers=workers)
 
 
 def _cmd_fit(args) -> None:
     """`fit`, and `gof`, which is `fit --gof --bootstrap 0` writing only
     gof.json: nothing at all when its test fails."""
-    from .dataset import read_counts
-    from .gof import gof_test
-    from .powerlaw import ccdf_table, fit_power_law
+    from .dataset import write_table
+    from .gof import gof_test, required_sims
+    from .powerlaw import ccdf_table
 
     if not args.gof and (args.sims is not None or args.epsilon is not None):
         raise ValueError("--sims and --epsilon need --gof")
-    sample = read_counts(args.input, label=args.label)
-    args.sims = _resolve_sims(args) if args.gof else None
-    if args.bootstrap > 0:
-        print(f"bootstrap: {args.bootstrap} replicates", file=sys.stderr)
-    fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
-                        bootstrap_reps=args.bootstrap, seed=args.seed,
-                        workers=args.threads)
-    command = _recorded(args, _RECORDED[args.command])
-    documents = _deferred("documents")
-    digest = documents.file_digest(args.input)
+    if args.epsilon is not None:  # then --sims is not given
+        args.sims = required_sims(args.epsilon)
+    elif args.gof and args.sims is None:
+        args.sims = DEFAULT_SIMS
+    sample, fit = _read_and_fit(args, args.bootstrap, args.threads)
+    publish = _publisher(args)
     if args.command == "fit":
-        args.outdir.mkdir(parents=True, exist_ok=True)
-        doc = documents.fit_document(fit, sample.label, command=command,
-                                     seed=args.seed, input_digest=digest,
-                                     min_tail=args.min_tail,
-                                     bootstrap_reps=args.bootstrap)
-        documents.write_document(doc, args.outdir / "fit.json")
-        _write_csv(args.outdir / "ccdf.csv", "x,ccdf_empirical,ccdf_model",
-                   ccdf_table(sample, fit.model()))
+        publish("fit", fit, sample.label, min_tail=args.min_tail,
+                bootstrap_reps=args.bootstrap)
+        write_table(args.outdir / "ccdf.csv",
+                    ("x", "ccdf_empirical", "ccdf_model"),
+                    ccdf_table(sample, fit.model()))
     if args.gof:
         print(f"gof: {args.sims} simulations", file=sys.stderr)
         result = gof_test(sample, fit, args.sims, args.seed,
                           workers=args.threads, min_tail=args.min_tail,
                           x_min=args.xmin)
-        gdoc = documents.gof_document(result, fit, sample.label,
-                                      command=command, seed=args.seed,
-                                      input_digest=digest)
-        args.outdir.mkdir(parents=True, exist_ok=True)
-        documents.write_document(gdoc, args.outdir / "gof.json")
+        publish("gof", result, fit, sample.label)
 
 
 def _cmd_compare(args) -> None:
     from .altmodels import _check_families, compare_models
-    from .dataset import read_counts
-    from .powerlaw import fit_power_law
+    from .dataset import write_table
 
     alternatives = tuple(a.strip() for a in args.alternatives.split(",")
                          if a.strip())
     if not alternatives:
         raise ValueError("--alternatives names no family")
     _check_families(alternatives)
-    sample = read_counts(args.input, label=args.label)
-    fit = fit_power_law(sample, x_min=args.xmin, min_tail=args.min_tail,
-                        bootstrap_reps=0, seed=args.seed)
+    sample, fit = _read_and_fit(args)
     comparisons = compare_models(sample, fit, alternatives)
-    command = _recorded(args, _RECORDED["compare"])
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    documents = _deferred("documents")
-    doc = documents.compare_document(comparisons, fit, sample.label,
-                                     command=command, seed=args.seed,
-                                     input_digest=documents.file_digest(args.input))
-    documents.write_document(doc, args.outdir / "compare.json")
-    _write_csv(args.outdir / "comparison.tsv", "alternative\tlr\tp\tverdict",
-               ((c.alternative, c.lr, c.p, c.verdict) for c in comparisons),
-               sep="\t")
+    _publisher(args)("compare", comparisons, fit, sample.label)
+    write_table(args.outdir / "comparison.tsv",
+                ("alternative", "lr", "p", "verdict"),
+                ((c.alternative, c.lr, c.p, c.verdict) for c in comparisons),
+                sep="\t")
 
 
 def _cmd_scaling(args) -> None:
-    from .dataset import read_aggregates
+    from .dataset import read_aggregates, write_table
     from .scaling import points_from_aggregates, scaling_fit, scatter_table
 
     aggregates = read_aggregates(args.input)
@@ -283,15 +276,11 @@ def _cmd_scaling(args) -> None:
             raise ValueError(f"mode {mode}: {exc}") from None
         results[mode] = (fit, excluded)
         tables[mode] = scatter_table(points, fit)
-    command = _recorded(args, _RECORDED["scaling"])
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    documents = _deferred("documents")
-    doc = documents.scaling_document(results, command=command, seed=args.seed,
-                                     input_digest=documents.file_digest(args.input))
-    documents.write_document(doc, args.outdir / "scaling.json")
+    _publisher(args)("scaling", results)
     for mode, rows in tables.items():
-        _write_csv(args.outdir / f"scatter_{mode}.csv",
-                   "subfield,size,cbp,expected_cbp,indicator", rows)
+        write_table(args.outdir / f"scatter_{mode}.csv",
+                    ("subfield", "size", "cbp", "expected_cbp", "indicator"),
+                    rows)
 
 
 def _cmd_simulate(args) -> None:
@@ -321,7 +310,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
-    from .dataset import write_aggregates, write_counts
+    from .dataset import write_aggregates, write_counts, write_table
     from .ingest import Tally, export_rows, in_window, read_classification
 
     if (args.year_min is not None and args.year_max is not None
@@ -361,8 +350,8 @@ def _cmd_ingest(args) -> None:
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     write_aggregates(args.outdir / "aggregates.tsv", aggregates)
-    _write_csv(args.outdir / "rejections.tsv", "row\treason",
-               tally.rejections, sep="\t")
+    write_table(args.outdir / "rejections.tsv", ("row", "reason"),
+                tally.rejections, sep="\t")
     command = _recorded(args, _RECORDED["ingest"])
     for mode, digest in modes.items():
         write_counts(args.outdir / f"counts_{mode}.txt", digest,
@@ -370,15 +359,11 @@ def _cmd_ingest(args) -> None:
                       f"mode: {mode}"])
     # documents loads OpenSSL, through hashlib, only now, once export_rows
     # has freed the record ids it kept to find duplicates
-    documents = _deferred("documents")
-    doc = documents.ingest_document(
-        command=command, seed=args.seed,
-        input_digest=documents.file_digest(args.input),
-        map_digest=documents.file_digest(args.map),
+    _publisher(args)(
+        "ingest", map_digest=_deferred("documents").file_digest(args.map),
         n_records=modes["overall"].total() if modes else 0,
         n_rejections=len(tally.rejections), n_subfields=len(aggregates),
         mode_counts={mode: digest.total() for mode, digest in modes.items()})
-    documents.write_document(doc, args.outdir / "ingest.json")
 
 
 def _cmd_report(args) -> None:

@@ -33,6 +33,7 @@ __all__ = [
     "write_counts",
     "read_aggregates",
     "write_aggregates",
+    "write_table",
     "AGGREGATE_COLUMNS",
 ]
 
@@ -437,7 +438,14 @@ def read_aggregates(path: str | Path) -> list[SubfieldAggregate]:
 
 
 def write_aggregates(path: str | Path, aggregates: Iterable[SubfieldAggregate]) -> None:
+    write_table(path, AGGREGATE_COLUMNS, map(astuple, aggregates), sep="\t")
+
+
+def write_table(path: str | Path, columns: Iterable[str], rows: Iterable,
+                sep: str = ",") -> None:
+    """A line of ``columns``, then one per row; a float cell is its repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(AGGREGATE_COLUMNS) + "\n")
-        for agg in aggregates:
-            fh.write("\t".join(str(v) for v in astuple(agg)) + "\n")
+        fh.write(sep.join(columns) + "\n")
+        for row in rows:
+            fh.write(sep.join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

@@ -79,11 +79,12 @@ def gof_test(sample: CitationSample, fit: PowerLawFit,
     sec. 4.1): by its own x_min scan, with ``min_tail``, or, given
     ``x_min``, which must be ``fit.x_min``, at that pinned x_min.  One
     without a usable tail counts as exceeding the empirical KS.  The
-    result is identical for any ``workers`` count.
+    result is identical for any ``workers`` count, a positive whole number.
     """
     n_sims = _at_least(n_sims, 1, "n_sims")
     # _candidates trusts these: a synthetic fit reads its ValueError as no tail
     min_tail = _at_least(min_tail, 0, "min_tail")
+    workers = _at_least(workers, 1, "workers")
     if x_min is not None:
         x_min = _at_least(x_min, 1, "x_min")
         if x_min != fit.x_min:

@@ -540,13 +540,15 @@ def fit_power_law(sample: CitationSample, *,
     and the SDs stay 0.0 unless at least two replicates have one.  The
     result is identical for any ``workers`` count.
 
-    ``x_min``, ``min_tail``, ``bootstrap_reps`` and ``seed`` must be whole
-    numbers: a fraction or a bool raises ValueError, and 5.0 is read as 5.
+    ``x_min``, ``min_tail``, ``bootstrap_reps``, ``seed`` and ``workers``
+    must be whole numbers: a fraction or a bool raises ValueError, and 5.0
+    is read as 5.
     """
     if x_min is not None:
         x_min = _at_least(x_min, 1, "x_min")
     min_tail = _at_least(min_tail, 0, "min_tail")
     bootstrap_reps = _at_least(bootstrap_reps, 0, "bootstrap_reps")
+    workers = _at_least(workers, 1, "workers")
     # a pinned x_min takes its tail's digest, which is empty past the data
     main = _best_fits([_candidates(*_distinct(sample, x_min or 0), min_tail,
                                    x_min)])[0]
@@ -631,6 +633,7 @@ def sample_power_law(model: DiscretePowerLaw, n: int, seed: int) -> CitationSamp
     ValueError, and 5.0 is read as 5.
     """
     n = _at_least(n, 1, "n")
+    seed = _at_least(seed, 0, "seed")  # the label's seed: 3.0 as 3
     rng = derived_rng(seed, DOMAIN_SAMPLING, 0)
     x = _tail_draws(model.alpha, model.x_min, n, rng)
     label = f"powerlaw(x_min={model.x_min}, alpha={model.alpha:g}, seed={seed})"

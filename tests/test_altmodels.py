@@ -484,8 +484,11 @@ class TestSampleAlternative:
     def test_deterministic(self):
         fit = AltFit("powerlaw_cutoff", (2.0, 0.1), 1, 0.0)
         a = sample_alternative(fit, 500, seed=3)
-        b = sample_alternative(fit, 500, seed=3)
-        assert np.array_equal(a.counts, b.counts)
+        # the label names the seed as used: 3.0 once gave "seed=3.0)"
+        for seed in (3, 3.0, np.int64(3)):
+            b = sample_alternative(fit, 500, seed=seed)
+            assert np.array_equal(a.counts, b.counts)
+            assert b.label == a.label
 
     @pytest.mark.parametrize("fit", [
         AltFit("exponential", (0.5,), 10, 0.0),

@@ -87,6 +87,27 @@ class TestParser:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # compare fits without a bootstrap and scaling draws nothing, so only
+    # fit and gof, which run replicates, take --threads
+    @pytest.mark.parametrize("command", ["compare", "scaling"])
+    def test_threads_rejected_where_no_replicate_runs(
+            self, counts_file, aggregates_file, tmp_path, capsys, command):
+        given = counts_file if command == "compare" else aggregates_file
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--input", given, "--outdir", out, "--threads", 2)
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --threads 2\n" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gof_takes_threads(self, counts_file, tmp_path):
+        # as fit does (TestFit)
+        out = tmp_path / "out"
+        assert run("gof", "--input", counts_file, "--outdir", out, "--sims",
+                   5, "--threads", 2) == 0
+        assert (out / "gof.json").exists()
+
     def test_zero_stays_legal(self, counts_file, tmp_path):
         out = tmp_path / "out"
         assert run("fit", "--input", counts_file, "--outdir", out,
@@ -381,6 +402,17 @@ class TestGofCommand:
         out = tmp_path / "out"
         assert run("fit", "--input", counts_file, "--outdir", out, "--gof",
                    "--epsilon", epsilon, "--bootstrap", 0) == 1
+        assert capsys.readouterr().err == (
+            "error: epsilon must be finite and at least 0.001 (250000 "
+            "simulations); use --sims for a larger run\n")
+        assert not out.exists()
+
+    def test_epsilon_checked_before_the_input_is_read(self, tmp_path,
+                                                      capsys):
+        # as every other option is, and so before any fit
+        out = tmp_path / "out"
+        assert run("fit", "--input", tmp_path / "missing.txt", "--outdir",
+                   out, "--gof", "--epsilon", 0) == 1
         assert capsys.readouterr().err == (
             "error: epsilon must be finite and at least 0.001 (250000 "
             "simulations); use --sims for a larger run\n")

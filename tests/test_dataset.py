@@ -316,6 +316,38 @@ class TestCountsIO:
                 read_counts(path)
 
 
+class TestWriteTable:
+    # the one table writer behind ccdf.csv, comparison.tsv, scatter_*.csv,
+    # rejections.tsv and aggregates.tsv: a float cell reads back as itself
+    ROWS = [("a", 1, 0.1), ("b c", -2, 1e-300), ("", 0, -0.0),
+            ("d", 10**20, float("inf"))]
+
+    @pytest.mark.parametrize("sep, text", [
+        (",", "name,n,x\na,1,0.1\nb c,-2,1e-300\n,0,-0.0\n"
+              "d,100000000000000000000,inf\n"),
+        ("\t", "name\tn\tx\na\t1\t0.1\nb c\t-2\t1e-300\n\t0\t-0.0\n"
+               "d\t100000000000000000000\tinf\n"),
+    ], ids=["comma", "tab"])
+    def test_format(self, tmp_path, sep, text):
+        path = tmp_path / "table"
+        dataset.write_table(path, ("name", "n", "x"), iter(self.ROWS), sep=sep)
+        assert path.read_bytes() == text.encode()
+
+    def test_aggregates_bytes(self, tmp_path):
+        path = tmp_path / "agg.tsv"
+        write_aggregates(path, [
+            SubfieldAggregate("applied physics", "natural", 10, 7, 3, 50, 40,
+                              10),
+            SubfieldAggregate("plant sciences", "natural", 2**70, 2**70, 0,
+                              0, 0, 0)])
+        assert path.read_bytes() == (
+            b"subfield\tfield\tpapers_total\tpapers_collab\tpapers_single"
+            b"\tcitations_total\tcitations_collab\tcitations_single\n"
+            b"applied physics\tnatural\t10\t7\t3\t50\t40\t10\n"
+            b"plant sciences\tnatural\t1180591620717411303424"
+            b"\t1180591620717411303424\t0\t0\t0\t0\n")
+
+
 class TestAggregatesIO:
     def _aggregate(self):
         return SubfieldAggregate("applied physics", "natural",

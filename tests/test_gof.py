@@ -131,7 +131,14 @@ class TestGofTest:
         with pytest.raises(ValueError,
                            match="^x_min must be a positive integer$"):
             gof_test(s, fit, n_sims=3, seed=0, x_min=True)
-        assert gof_test(s, fit, n_sims=3, seed=np.int64(0), x_min=1.0) == \
+        # under 64 simulations these ran in process, and from 320 on 2.5
+        # raised a TypeError while the simulations were split among workers
+        for workers in (0, -3, True, 2.5):
+            with pytest.raises(ValueError,
+                               match="^workers must be a positive integer$"):
+                gof_test(s, fit, n_sims=320, seed=0, workers=workers)
+        assert gof_test(s, fit, n_sims=3, seed=np.int64(0), x_min=1.0,
+                        workers=np.int64(2)) == \
             gof_test(s, fit, n_sims=3, seed=0, x_min=1)
 
     def test_detects_gross_misfit(self):

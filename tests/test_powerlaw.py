@@ -388,10 +388,21 @@ class TestWholeArguments:
          "nonnegative"),
         (lambda s: fit_power_law(s, bootstrap_reps=-1), "bootstrap_reps",
          "nonnegative"),
+        # under 64 replicates these ran in process, and from 320 on 2.5
+        # raised a TypeError while the replicates were split among workers
+        (lambda s: fit_power_law(s, bootstrap_reps=320, workers=0),
+         "workers", "positive"),
+        (lambda s: fit_power_law(s, bootstrap_reps=320, workers=-3),
+         "workers", "positive"),
+        (lambda s: fit_power_law(s, bootstrap_reps=320, workers=True),
+         "workers", "positive"),
+        (lambda s: fit_power_law(s, bootstrap_reps=320, workers=2.5),
+         "workers", "positive"),
     ], ids=["n-fraction", "n-bool", "seed-fraction", "seed-bool",
             "bootstrap-seed-fraction", "bootstrap-seed-bool",
             "min_tail-fraction", "min_tail-negative", "reps-fraction",
-            "reps-bool", "reps-negative"])
+            "reps-bool", "reps-negative", "workers-zero", "workers-negative",
+            "workers-bool", "workers-fraction"])
     def test_non_whole_rejected(self, call, name, kind):
         s = sample_power_law(_UNIT, 2000, seed=1)
         with pytest.raises(ValueError,
@@ -399,13 +410,15 @@ class TestWholeArguments:
             call(s)
 
     def test_whole_values_accepted(self):
-        a = sample_power_law(_UNIT, 5.0, seed=np.int64(3))
         b = sample_power_law(_UNIT, 5, seed=3)
-        assert_array_equal(a.counts, b.counts)
-        assert a.label == b.label
+        # the label names the seed as used: 3.0 once gave "seed=3.0)"
+        for a in (sample_power_law(_UNIT, 5.0, seed=np.int64(3)),
+                  sample_power_law(_UNIT, 5, seed=3.0)):
+            assert_array_equal(a.counts, b.counts)
+            assert a.label == b.label
         s = sample_power_law(_UNIT, 2000, seed=1)
         assert fit_power_law(s, min_tail=50.0, bootstrap_reps=2.0,
-                             seed=np.int64(3)) == \
+                             seed=np.int64(3), workers=np.int64(2)) == \
             fit_power_law(s, min_tail=50, bootstrap_reps=2, seed=3)
 
 
